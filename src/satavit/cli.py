@@ -16,6 +16,7 @@ import numpy as np
 
 from . import harness, modelio
 from .engine import forward
+from .sata import ffn_flops
 from .vit import ModelConfig
 
 
@@ -211,8 +212,8 @@ def _cmd_flops(args) -> int:
     _, traces = forward(image, model, cfg=cfg)
     rows = [[tr.block_index, tr.ffn_tokens, tr.ffn_flops] for tr in traces]
     total = sum(tr.ffn_flops for tr in traces)
-    vanilla_traces = forward(image, model, cfg=cfg.with_overrides(sata_enabled=False))[1]
-    vanilla = sum(tr.ffn_flops for tr in vanilla_traces)
+    # with the stage off every block runs the full FFN on all tokens
+    vanilla = cfg.depth * ffn_flops(cfg.num_tokens, cfg.dim, cfg.hidden)
     _emit(args.out, ["block", "ffn_tokens", "ffn_flops"], rows)
     print(f"ffn_flops_total: {total}", file=sys.stderr)
     print(f"ffn_flops_vanilla: {vanilla}", file=sys.stderr)

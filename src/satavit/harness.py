@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import uniform_filter
 
-from .engine import forward
+from .engine import classify, embed, forward, run_blocks
 from .modelio import Model, random_init
 from .moran import SpatialScores, spatial_scores
 from .rng import SplitMix64
@@ -256,19 +256,15 @@ class StabilityRecord:
     delta_sata: float
 
 
-def _stability_records(model, clean_image, corrupted_image, cfg) -> list[StabilityRecord]:
-    _, clean_traces = forward(clean_image, model, cfg=cfg)
-    _, corr_traces = forward(corrupted_image, model, cfg=cfg)
-    records = []
-    for tc, tx in zip(clean_traces, corr_traces):
-        records.append(
-            StabilityRecord(
-                block_index=tc.block_index,
-                delta_attention=cosine_similarity(tc.cls_attention, tx.cls_attention),
-                delta_sata=cosine_similarity(tc.s_snapshot, tx.s_snapshot),
-            )
+def _stability_records(clean_traces, corr_traces) -> list[StabilityRecord]:
+    return [
+        StabilityRecord(
+            block_index=tc.block_index,
+            delta_attention=cosine_similarity(tc.cls_attention, tx.cls_attention),
+            delta_sata=cosine_similarity(tc.s_snapshot, tx.s_snapshot),
         )
-    return records
+        for tc, tx in zip(clean_traces, corr_traces)
+    ]
 
 
 def stability_report(
@@ -284,11 +280,16 @@ def stability_report(
     ``delta_attention`` compares the class-token attention row over the
     patch tokens, ``delta_sata`` the spatial score vector.  With
     neither ``spec`` nor ``corrupted`` the clean image is compared to
-    itself (all deltas exactly 1).
+    itself (all deltas exactly 1) from a single forward.
     """
-    if corrupted is None:
-        corrupted = corrupt(image, spec) if spec is not None else image
-    records = _stability_records(model, image, corrupted, cfg)
+    _, clean_traces = forward(image, model, cfg=cfg)
+    if corrupted is None and spec is None:
+        corr_traces = clean_traces
+    else:
+        if corrupted is None:
+            corrupted = corrupt(image, spec)
+        _, corr_traces = forward(corrupted, model, cfg=cfg)
+    records = _stability_records(clean_traces, corr_traces)
     if out is not None:
         write_csv(
             out,
@@ -308,19 +309,20 @@ def averaged_stability_report(
     """Stability deltas averaged uniformly over every (kind, severity) pair.
 
     Each pair gets its own corruption seed derived from ``seed``, so
-    the whole report is reproducible from one integer.
+    the whole report is reproducible from one integer.  The clean
+    forward runs once and is compared with one corrupted forward per
+    pair (21 forwards for the 20 pairs).
     """
     pair_seeds = SplitMix64(seed).next_uint64(len(CORRUPTION_KINDS) * 5)
-    sums_att = None
-    sums_sata = None
+    _, clean_traces = forward(image, model, cfg=cfg)
+    sums_att = np.zeros(len(clean_traces))
+    sums_sata = np.zeros(len(clean_traces))
     count = 0
     for kind in CORRUPTION_KINDS:
         for severity in range(1, 6):
             spec = CorruptionSpec(kind=kind, severity=severity, seed=int(pair_seeds[count]))
-            records = stability_report(model, image, spec, cfg=cfg)
-            if sums_att is None:
-                sums_att = np.zeros(len(records))
-                sums_sata = np.zeros(len(records))
+            _, corr_traces = forward(corrupt(image, spec), model, cfg=cfg)
+            records = _stability_records(clean_traces, corr_traces)
             sums_att += [r.delta_attention for r in records]
             sums_sata += [r.delta_sata for r in records]
             count += 1
@@ -399,6 +401,24 @@ class SweepRecord:
     ffn_tokens_per_block: tuple[float, ...]
 
 
+def _stage_off_segments(model: Model, image, cfg: ModelConfig, starts):
+    """Stage-off forward of one image, split at each block index in ``starts``.
+
+    ``starts`` must be ascending.  Returns the logits, one trace per
+    block and the stream entering each block in ``starts``.
+    """
+    x = embed(image, model, cfg)
+    traces = []
+    streams = {}
+    done = 0
+    for stop in (*starts, cfg.depth):
+        x, segment = run_blocks(x, model, cfg, done, stop)
+        traces += segment
+        streams[stop] = x
+        done = stop
+    return classify(x, model), traces, streams
+
+
 def sweep(
     model: Model,
     images,
@@ -413,6 +433,12 @@ def sweep(
     are the per-image mean of the summed per-block FFN FLOPs.  The
     stage is forced on for the swept runs regardless of the model's
     stored flag.
+
+    Blocks before a value's ``sata_start_block`` take the stage-off
+    path, so they are identical to the baseline's.  The baseline runs
+    once per image, keeping its stream at every distinct start block;
+    each value then runs only its blocks from ``start`` on and reuses
+    the baseline's traces (FFN FLOPs and tokens) for the blocks before.
     """
     if param not in ("alpha", "gamma"):
         raise ValueError(f"sweep param must be 'alpha' or 'gamma', got {param!r}")
@@ -421,16 +447,23 @@ def sweep(
         raise ValueError("sweep needs at least one image")
     base_cfg = cfg if cfg is not None else model.config
     baseline_cfg = base_cfg.with_overrides(sata_enabled=False)
-    baselines = [forward(img, model, cfg=baseline_cfg)[0] for img in images]
+    run_cfgs = [
+        base_cfg.with_overrides(sata_enabled=True, **{param: float(value)})
+        for value in values
+    ]
+    starts = sorted({c.sata_start_block for c in run_cfgs})
+    baselines = [_stage_off_segments(model, img, baseline_cfg, starts) for img in images]
 
     records = []
-    for value in values:
-        run_cfg = base_cfg.with_overrides(sata_enabled=True, **{param: float(value)})
+    for run_cfg in run_cfgs:
+        start = run_cfg.sata_start_block
         flops_total = 0.0
         drift_total = 0.0
         tokens = np.zeros(run_cfg.depth)
-        for img, base_logits in zip(images, baselines):
-            logits, traces = forward(img, model, cfg=run_cfg)
+        for base_logits, base_traces, streams in baselines:
+            x, tail = run_blocks(streams[start], model, run_cfg, start, run_cfg.depth)
+            logits = classify(x, model)
+            traces = base_traces[:start] + tail
             flops_total += sum(tr.ffn_flops for tr in traces)
             drift_total += float(np.linalg.norm(logits - base_logits))
             tokens += [tr.ffn_tokens for tr in traces]
@@ -438,7 +471,7 @@ def sweep(
         records.append(
             SweepRecord(
                 param=param,
-                value=float(value),
+                value=getattr(run_cfg, param),
                 total_flops=flops_total / n,
                 logit_drift=drift_total / n,
                 ffn_tokens_per_block=tuple(tokens / n),

@@ -166,6 +166,37 @@ def save_model(model: Model, path) -> None:
         raise OSError(f"failed to save model at {stem}: {exc}") from exc
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _tensor_table(tensors, manifest_path) -> dict[str, dict]:
+    """Manifest tensor entries by name, each checked for its required fields."""
+    if not isinstance(tensors, list):
+        raise SchemaError(
+            f"{manifest_path}: 'tensors' must be a list, got {type(tensors).__name__}"
+        )
+    entries: dict[str, dict] = {}
+    for i, entry in enumerate(tensors):
+        where = f"{manifest_path}: tensors[{i}]"
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{where} must be an object, got {type(entry).__name__}")
+        missing = [k for k in ("name", "shape", "offset") if k not in entry]
+        if missing:
+            raise SchemaError(f"{where} lacks {', '.join(repr(k) for k in missing)}")
+        name, shape, offset = entry["name"], entry["shape"], entry["offset"]
+        if not isinstance(name, str):
+            raise SchemaError(f"{where} has a non-string name {name!r}")
+        if not isinstance(shape, list) or not all(_is_int(n) for n in shape):
+            raise SchemaError(f"{where} ({name!r}) has shape {shape!r}, not a list of integers")
+        if not _is_int(offset):
+            raise SchemaError(f"{where} ({name!r}) has offset {offset!r}, not an integer")
+        if name in entries:
+            raise SchemaError(f"{manifest_path}: duplicate tensor entries for {name!r}")
+        entries[name] = entry
+    return entries
+
+
 def load_model(path) -> Model:
     """Load a manifest/blob pair; verifies checksum and tensor table."""
     stem = _resolve_stem(path)
@@ -177,11 +208,13 @@ def load_model(path) -> Model:
     except OSError as exc:
         raise OSError(f"failed to load model at {stem}: {exc}") from exc
 
+    if not isinstance(manifest, dict):
+        raise SchemaError(f"{manifest_path}: manifest must be a JSON object")
     if manifest.get("format") != MANIFEST_FORMAT:
         raise SchemaError(
             f"{manifest_path}: unsupported manifest format {manifest.get('format')!r}"
         )
-    cfg = ModelConfig.from_dict(manifest["config"])
+    cfg = ModelConfig.from_dict(manifest.get("config"))
 
     digest = hashlib.blake2b(blob, digest_size=8).hexdigest()
     if digest != manifest.get("checksum"):
@@ -190,9 +223,7 @@ def load_model(path) -> Model:
             f"{manifest.get('checksum')}); the weight file is corrupt or truncated"
         )
 
-    entries = {e["name"]: e for e in manifest.get("tensors", [])}
-    if len(entries) != len(manifest.get("tensors", [])):
-        raise SchemaError(f"{manifest_path}: duplicate tensor entries")
+    entries = _tensor_table(manifest.get("tensors", []), manifest_path)
 
     params: dict[str, np.ndarray] = {}
     spans = []
@@ -206,7 +237,7 @@ def load_model(path) -> Model:
                 f"config requires {list(shape)}"
             )
         count = int(np.prod(shape))
-        start = int(entry["offset"])
+        start = entry["offset"]
         end = start + count * 8
         if start < 0 or end > len(blob):
             raise SchemaError(

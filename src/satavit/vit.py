@@ -7,7 +7,9 @@ provides the per-layer math.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -27,6 +29,10 @@ __all__ = [
 ]
 
 LN_EPS = 1e-6
+
+_INT_FIELDS = ("depth", "dim", "heads", "patch", "image", "num_classes", "channels")
+_FLOAT_FIELDS = ("ffn_ratio", "gamma", "alpha")
+_BOOL_FIELDS = ("sata_enabled", "moran_row_convention")
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,7 @@ class ModelConfig:
     moran_row_convention: bool = False
 
     def __post_init__(self):
+        self._check_types()
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
         if self.dim < 1 or self.heads < 1 or self.dim % self.heads != 0:
@@ -79,6 +86,29 @@ class ModelConfig:
             raise ValueError(f"attention_reduce must be 'mean' or 'max', got {self.attention_reduce!r}")
         if self.match_metric not in ("cosine", "dot"):
             raise ValueError(f"match_metric must be 'cosine' or 'dot', got {self.match_metric!r}")
+
+    def _check_types(self) -> None:
+        """Reject wrongly typed or non-finite fields before any comparison."""
+        for name in _INT_FIELDS:
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Integral):
+                raise ValueError(
+                    f"config field {name!r} must be an integer, got {type(v).__name__} {v!r}"
+                )
+        for name in _FLOAT_FIELDS:
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Real):
+                raise ValueError(
+                    f"config field {name!r} must be a number, got {type(v).__name__} {v!r}"
+                )
+            if not math.isfinite(v):
+                raise ValueError(f"config field {name!r} must be finite, got {v!r}")
+        for name in _BOOL_FIELDS:
+            v = getattr(self, name)
+            if not isinstance(v, (bool, np.bool_)):
+                raise ValueError(
+                    f"config field {name!r} must be true or false, got {type(v).__name__} {v!r}"
+                )
 
     @property
     def hidden(self) -> int:
@@ -125,6 +155,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"model config must be a JSON object, got {type(d).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(d) - known
         if unknown:

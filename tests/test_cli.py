@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from satavit import ModelConfig, random_image, write_raw_image
+from satavit import ModelConfig, cli, forward, load_model, random_image, write_raw_image
 
 CONFIG = {
     "depth": 4,
@@ -189,3 +189,104 @@ class TestSubcommands:
         manifest = json.loads((tmp_path / "m2.manifest.json").read_text())
         assert manifest["config"]["alpha"] == 2.5
         assert manifest["config"]["gamma"] == 0.25
+
+
+def main_in_process(capsys, *args):
+    """Run ``cli.main`` in this process; returns (exit code, stdout, stderr)."""
+    code = cli.main([str(a) for a in args])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("depth", "8"),
+        ("depth", True),
+        ("dim", 16.0),
+        ("heads", None),
+        ("num_classes", [4]),
+        ("alpha", "1.0"),
+        ("alpha", False),
+        ("gamma", "0.5"),
+        ("ffn_ratio", True),
+        ("alpha", float("inf")),
+        ("gamma", float("nan")),
+        ("ffn_ratio", float("inf")),
+        ("sata_enabled", "false"),
+    ])
+    def test_bad_field_exits_two_naming_it(self, capsys, tmp_path, field, value):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**CONFIG, field: value}))
+        code, _, err = main_in_process(capsys, "init", "--model", tmp_path / "m",
+                                       "--config", cfg_path)
+        assert code == 2
+        assert repr(field) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.manifest.json").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--alpha", "inf"), ("--alpha", "nan"),
+                                            ("--gamma", "inf")])
+    def test_non_finite_override_exits_two(self, capsys, tmp_path, flag, value):
+        code, _, err = main_in_process(capsys, "init", "--model", tmp_path / "m", flag, value)
+        assert code == 2
+        assert flag.lstrip("-") in err
+        assert "Traceback" not in err
+
+    def test_config_not_an_object_exits_two(self, capsys, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text("[8, 32]")
+        code, _, err = main_in_process(capsys, "init", "--model", tmp_path / "m",
+                                       "--config", cfg_path)
+        assert code == 2
+        assert "JSON object" in err
+
+
+def _broken_manifest_model(model_path, tmp_path, edit):
+    import shutil
+
+    stem = tmp_path / "broken"
+    for suffix in (".manifest.json", ".weights.bin"):
+        shutil.copy(str(model_path) + suffix, str(stem) + suffix)
+    manifest_path = tmp_path / "broken.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    return stem
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: m["tensors"].__setitem__(0, 7), "tensors[0] must be an object"),
+        (lambda m: m["tensors"].__setitem__(0, "pos_embed"), "tensors[0] must be an object"),
+        (lambda m: m["tensors"][0].pop("name"), "lacks 'name'"),
+        (lambda m: m["tensors"][0].pop("shape"), "lacks 'shape'"),
+        (lambda m: m["tensors"][0].pop("offset"), "lacks 'offset'"),
+        (lambda m: m["tensors"][0].__setitem__("offset", "0"), "offset '0', not an integer"),
+        (lambda m: m["tensors"][0].__setitem__("offset", 0.0), "offset 0.0, not an integer"),
+        (lambda m: m["tensors"][0].__setitem__("offset", None), "offset None, not an integer"),
+        (lambda m: m["tensors"][0].__setitem__("shape", 64), "not a list of integers"),
+        (lambda m: m["tensors"][0].__setitem__("name", ["x"]), "non-string name"),
+        (lambda m: m.__setitem__("tensors", {"pos_embed": 0}), "'tensors' must be a list"),
+    ], ids=["int-entry", "str-entry", "no-name", "no-shape", "no-offset", "str-offset",
+            "float-offset", "null-offset", "int-shape", "list-name", "dict-tensors"])
+    def test_exits_two_with_message(self, capsys, model_path, tmp_path, edit, message):
+        stem = _broken_manifest_model(model_path, tmp_path, edit)
+        code, _, err = main_in_process(capsys, "forward", "--model", stem)
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+
+
+class TestFlopsReport:
+    def test_vanilla_total_matches_a_stage_off_forward(self, capsys, model_path):
+        code, _, err = main_in_process(capsys, "flops", "--model", model_path, "--seed", 5)
+        assert code == 0
+        model = load_model(model_path)
+        image = random_image(model.config, 5)
+        on = forward(image, model)[1]
+        off = forward(image, model, cfg=model.config.with_overrides(sata_enabled=False))[1]
+        total = sum(tr.ffn_flops for tr in on)
+        vanilla = sum(tr.ffn_flops for tr in off)
+        assert err == (f"ffn_flops_total: {total}\n"
+                       f"ffn_flops_vanilla: {vanilla}\n"
+                       f"ratio: {format(total / vanilla, '.9g')}\n")

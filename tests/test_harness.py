@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from satavit import ModelConfig, random_init
+from satavit import ModelConfig, engine, random_init
+from satavit.engine import forward
 from satavit.harness import (
     CORRUPTION_KINDS,
     STABILITY_HEADER,
@@ -19,6 +20,8 @@ from satavit.harness import (
     sweep,
     write_raw_image,
 )
+from satavit.rng import SplitMix64
+from satavit.tensorops import cosine_similarity
 
 CFG = ModelConfig(depth=4, dim=16, heads=2, patch=2, image=8, num_classes=4,
                   gamma=0.5, alpha=1.0)
@@ -137,6 +140,133 @@ class TestStability:
         for r in records:
             assert -1.0 <= r.delta_attention <= 1.0
             assert -1.0 <= r.delta_sata <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# straight-line references: every report as a plain sequence of full forwards
+
+
+def reference_averaged_stability(model, image, seed, cfg=None) -> list[list]:
+    """A clean and a corrupted forward for each of the 20 pairs."""
+    pair_seeds = SplitMix64(seed).next_uint64(len(CORRUPTION_KINDS) * 5)
+    sums_att = sums_sata = None
+    count = 0
+    for kind in CORRUPTION_KINDS:
+        for severity in range(1, 6):
+            spec = CorruptionSpec(kind=kind, severity=severity, seed=int(pair_seeds[count]))
+            _, clean = forward(image, model, cfg=cfg)
+            _, corr = forward(corrupt(image, spec), model, cfg=cfg)
+            att = [cosine_similarity(c.cls_attention, x.cls_attention) for c, x in zip(clean, corr)]
+            sata = [cosine_similarity(c.s_snapshot, x.s_snapshot) for c, x in zip(clean, corr)]
+            if sums_att is None:
+                sums_att = np.zeros(len(att))
+                sums_sata = np.zeros(len(sata))
+            sums_att += att
+            sums_sata += sata
+            count += 1
+    return [[i, float(sums_att[i] / count), float(sums_sata[i] / count)]
+            for i in range(len(sums_att))]
+
+
+def reference_sweep(model, images, param, values, cfg=None):
+    """The stage-off baseline plus one full forward per value, per image."""
+    base_cfg = cfg if cfg is not None else model.config
+    baselines = [forward(img, model, cfg=base_cfg.with_overrides(sata_enabled=False))[0]
+                 for img in images]
+    rows, tokens_per_value = [], []
+    for value in values:
+        run_cfg = base_cfg.with_overrides(sata_enabled=True, **{param: float(value)})
+        flops_total = 0.0
+        drift_total = 0.0
+        tokens = np.zeros(run_cfg.depth)
+        for img, base_logits in zip(images, baselines):
+            logits, traces = forward(img, model, cfg=run_cfg)
+            flops_total += sum(tr.ffn_flops for tr in traces)
+            drift_total += float(np.linalg.norm(logits - base_logits))
+            tokens += [tr.ffn_tokens for tr in traces]
+        n = len(images)
+        rows.append([float(value), flops_total / n, drift_total / n])
+        tokens_per_value.append(tuple(tokens / n))
+    return rows, tokens_per_value
+
+
+GAMMAS = [0.0, 0.25, 0.5, 0.7, 0.9, 1.0]
+
+
+class TestReportsMatchReference:
+    """Float values bitwise equal to the references', CSVs byte-identical."""
+
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_averaged_stability(self, model, image, seed, tmp_path):
+        out = tmp_path / "avg.csv"
+        records = averaged_stability_report(model, image, seed=seed, out=out)
+        want = reference_averaged_stability(model, image, seed)
+        assert [[r.block_index, r.delta_attention, r.delta_sata] for r in records] == want
+        assert out.read_bytes() == render_csv(STABILITY_HEADER, want).encode("utf-8")
+
+    @pytest.mark.parametrize("param,values", [
+        ("alpha", [0.5, 0.75, 1.0, 2.0, 1e9]),
+        ("gamma", GAMMAS),
+    ])
+    @pytest.mark.parametrize("stored_sata", [True, False])
+    def test_sweep(self, param, values, stored_sata, tmp_path):
+        stage_model = random_init(CFG.with_overrides(sata_enabled=stored_sata), seed=2024)
+        images = [random_image(CFG, 55), random_image(CFG, 56)]
+        out = tmp_path / "sweep.csv"
+        records = sweep(stage_model, images, param, values, out=out)
+        want, want_tokens = reference_sweep(stage_model, images, param, values)
+        assert [[r.value, r.total_flops, r.logit_drift] for r in records] == want
+        assert [r.ffn_tokens_per_block for r in records] == want_tokens
+        assert out.read_bytes() == render_csv(SWEEP_HEADER, want).encode("utf-8")
+
+    def test_sweep_run_config_overrides_stored_one(self, model, image, tmp_path):
+        cfg = CFG.with_overrides(sata_enabled=False, gamma=0.25, alpha=0.5)
+        out = tmp_path / "sweep.csv"
+        sweep(model, [image], "alpha", [1.0, 1.5, 0.5], cfg=cfg, out=out)
+        want, _ = reference_sweep(model, [image], "alpha", [1.0, 1.5, 0.5], cfg=cfg)
+        assert out.read_bytes() == render_csv(SWEEP_HEADER, want).encode("utf-8")
+
+
+@pytest.fixture
+def block_evals(monkeypatch):
+    """Counts block evaluations: every block runs ``engine.mhsa`` exactly once."""
+    calls = []
+    original = engine.mhsa
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "mhsa", counted)
+    return calls
+
+
+class TestBlockEvaluations:
+    def test_averaged_stability_runs_21_forwards(self, model, image, block_evals):
+        averaged_stability_report(model, image, seed=0)
+        assert len(block_evals) == 21 * CFG.depth
+
+    def test_self_comparison_runs_one_forward(self, model, image, block_evals):
+        stability_report(model, image, spec=None)
+        assert len(block_evals) == CFG.depth
+
+    def test_corrupted_comparison_runs_two_forwards(self, model, image, block_evals):
+        stability_report(model, image, CorruptionSpec("contrast", 2, seed=1))
+        assert len(block_evals) == 2 * CFG.depth
+
+    def test_alpha_sweep_shares_the_stage_off_prefix(self, model, block_evals):
+        images = [random_image(CFG, 1), random_image(CFG, 2)]
+        values = [0.5, 1.0, 1.5, 2.0, 1e9]
+        start = CFG.sata_start_block
+        sweep(model, images, "alpha", values)
+        assert len(block_evals) == len(images) * (
+            CFG.depth + len(values) * (CFG.depth - start))
+
+    def test_gamma_sweep_resumes_at_each_start(self, model, image, block_evals):
+        sweep(model, [image], "gamma", GAMMAS)
+        starts = [CFG.with_overrides(gamma=g).sata_start_block for g in GAMMAS]
+        assert starts == [0, 1, 2, 3, 4, 4]
+        assert len(block_evals) == CFG.depth + sum(CFG.depth - s for s in starts)
 
 
 class TestStatsReport:

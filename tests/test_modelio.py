@@ -169,6 +169,30 @@ class TestSaveLoad:
         with pytest.raises(SchemaError, match="overlap"):
             load_model(tmp_path / "m")
 
+    @pytest.mark.parametrize("edit", [
+        lambda m: m["tensors"].__setitem__(0, 3),
+        lambda m: m["tensors"][0].pop("name"),
+        lambda m: m["tensors"][0].pop("shape"),
+        lambda m: m["tensors"][0].pop("offset"),
+        lambda m: m["tensors"][0].__setitem__("offset", "0"),
+        lambda m: m["tensors"][0].__setitem__("offset", True),
+        lambda m: m.__setitem__("tensors", 5),
+    ], ids=["int-entry", "no-name", "no-shape", "no-offset", "str-offset", "bool-offset",
+            "int-tensors"])
+    def test_malformed_entry_is_schema_error(self, tmp_path, edit):
+        save_model(random_init(CFG, 11), tmp_path / "m")
+        manifest = json.loads((tmp_path / "m.manifest.json").read_text())
+        edit(manifest)
+        (tmp_path / "m.manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match="tensors"):
+            load_model(tmp_path / "m")
+
+    def test_manifest_not_an_object_is_schema_error(self, tmp_path):
+        save_model(random_init(CFG, 11), tmp_path / "m")
+        (tmp_path / "m.manifest.json").write_text("[]")
+        with pytest.raises(SchemaError, match="JSON object"):
+            load_model(tmp_path / "m")
+
     def test_missing_files_surface_path(self, tmp_path):
         with pytest.raises(OSError, match="nowhere"):
             load_model(tmp_path / "nowhere")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from satavit import ModelConfig, forward, random_init
+from satavit.engine import classify, embed, run_blocks
 from satavit.modelio import attn_view, embed_view, ffn_view, head_view
 from satavit.vit import AttnWeights, EmbedWeights, FfnWeights, ffn, mhsa, patch_embed
 
@@ -131,6 +132,19 @@ class TestModelConfig:
     def test_dict_roundtrip(self):
         cfg = ModelConfig(depth=2, dim=8, heads=2, image=8, patch=4)
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_numpy_scalars_accepted(self):
+        cfg = ModelConfig(depth=np.int64(2), dim=8, heads=2, image=8, patch=4,
+                          ffn_ratio=2, alpha=np.float64(0.5), sata_enabled=np.bool_(True))
+        assert cfg.hidden == 16
+
+    @pytest.mark.parametrize("field,value", [("depth", "8"), ("heads", 2.0), ("image", True),
+                                             ("alpha", "1"), ("gamma", True),
+                                             ("alpha", math.inf), ("ffn_ratio", math.nan),
+                                             ("moran_row_convention", 0)])
+    def test_bad_types_rejected_naming_field(self, field, value):
+        with pytest.raises(ValueError, match=repr(field)):
+            ModelConfig(**{field: value})
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -294,6 +308,28 @@ class TestForward:
         a, _ = forward(img, small_model)
         b, _ = forward(img, small_model)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_split_at_any_block_is_bitwise_forward(self, small_model, gamma):
+        cfg = small_model.config.with_overrides(gamma=gamma)
+        img = np.linspace(0, 1, cfg.image * cfg.image).reshape(cfg.image, cfg.image)
+        want_logits, want_traces = forward(img, small_model, cfg=cfg)
+        for split in range(cfg.depth + 1):
+            x, head_traces = run_blocks(embed(img, small_model, cfg), small_model, cfg, 0, split)
+            x, tail_traces = run_blocks(x, small_model, cfg, split, cfg.depth)
+            assert np.array_equal(classify(x, small_model), want_logits)
+            traces = head_traces + tail_traces
+            assert [t.block_index for t in traces] == list(range(cfg.depth))
+            for got, want in zip(traces, want_traces):
+                assert np.array_equal(got.s_snapshot, want.s_snapshot)
+                assert got.ffn_flops == want.ffn_flops
+
+    def test_block_range_checked(self, small_model):
+        cfg = small_model.config
+        x = np.zeros((cfg.num_tokens, cfg.dim))
+        for first, stop in ((-1, 1), (2, 1), (0, cfg.depth + 1)):
+            with pytest.raises(ValueError, match="block range"):
+                run_blocks(x, small_model, cfg, first, stop)
 
     def test_two_block_fixture_matches_naive_reference(self):
         cfg = ModelConfig(depth=2, dim=8, heads=2, patch=2, image=4, num_classes=3,
