@@ -49,7 +49,6 @@ from .tensorops import (
     cosine_similarity,
     gelu,
     layer_norm,
-    matmul,
     mean_std_median,
     row_softmax,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "load_image",
     "load_model",
     "local_moran",
-    "matmul",
     "mean_std_median",
     "mhsa",
     "model_checksum",

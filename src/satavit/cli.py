@@ -102,15 +102,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _run_config(model: modelio.Model, args) -> ModelConfig:
+def _overrides(cfg: ModelConfig, args) -> ModelConfig:
+    """``cfg`` with the --alpha, --gamma and --no-sata flags applied."""
     overrides = {}
-    if getattr(args, "alpha", None) is not None:
+    if args.alpha is not None:
         overrides["alpha"] = args.alpha
-    if getattr(args, "gamma", None) is not None:
+    if args.gamma is not None:
         overrides["gamma"] = args.gamma
-    if getattr(args, "no_sata", False):
+    if args.no_sata:
         overrides["sata_enabled"] = False
-    return model.config.with_overrides(**overrides) if overrides else model.config
+    return cfg.with_overrides(**overrides) if overrides else cfg
 
 
 def _load_images(args, cfg: ModelConfig, at_most_one: bool = False) -> list[np.ndarray]:
@@ -134,16 +135,7 @@ def _cmd_init(args) -> int:
             cfg = ModelConfig.from_dict(json.load(fh))
     else:
         cfg = ModelConfig()
-    overrides = {}
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
-    if args.gamma is not None:
-        overrides["gamma"] = args.gamma
-    if args.no_sata:
-        overrides["sata_enabled"] = False
-    if overrides:
-        cfg = cfg.with_overrides(**overrides)
-    model = modelio.random_init(cfg, args.seed)
+    model = modelio.random_init(_overrides(cfg, args), args.seed)
     modelio.save_model(model, args.model)
     print(f"wrote {args.model}.manifest.json / {args.model}.weights.bin "
           f"(checksum {modelio.model_checksum(model)})")
@@ -152,7 +144,7 @@ def _cmd_init(args) -> int:
 
 def _cmd_forward(args) -> int:
     model = modelio.load_model(args.model)
-    cfg = _run_config(model, args)
+    cfg = _overrides(model.config, args)
     image = _load_images(args, cfg, at_most_one=True)[0]
     logits, traces = forward(image, model, cfg=cfg)
     print("logits: " + " ".join(format(v, ".9g") for v in logits))
@@ -166,7 +158,7 @@ def _cmd_forward(args) -> int:
 
 def _cmd_stats(args) -> int:
     model = modelio.load_model(args.model)
-    cfg = _run_config(model, args)
+    cfg = _overrides(model.config, args)
     rows = harness.stats_report(model, _load_images(args, cfg), cfg=cfg)
     _emit(args.out, harness.STATS_HEADER, rows)
     return 0
@@ -174,7 +166,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_stability(args) -> int:
     model = modelio.load_model(args.model)
-    cfg = _run_config(model, args)
+    cfg = _overrides(model.config, args)
     image = _load_images(args, cfg, at_most_one=True)[0]
     if args.average:
         records = harness.averaged_stability_report(model, image, args.seed, cfg=cfg)
@@ -198,7 +190,7 @@ def _cmd_sweep(args) -> int:
     if not values:
         return _usage_error("sweep", "--values is empty")
     model = modelio.load_model(args.model)
-    cfg = _run_config(model, args)
+    cfg = _overrides(model.config, args)
     records = harness.sweep(model, _load_images(args, cfg), args.param, values, cfg=cfg)
     rows = [[r.value, r.total_flops, r.logit_drift] for r in records]
     _emit(args.out, harness.SWEEP_HEADER, rows)
@@ -207,7 +199,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_flops(args) -> int:
     model = modelio.load_model(args.model)
-    cfg = _run_config(model, args)
+    cfg = _overrides(model.config, args)
     image = _load_images(args, cfg, at_most_one=True)[0]
     _, traces = forward(image, model, cfg=cfg)
     rows = [[tr.block_index, tr.ffn_tokens, tr.ffn_flops] for tr in traces]

@@ -85,7 +85,8 @@ def run_blocks(
         if cfg.sata_enabled and i >= start:
             x_next, trace = sata_stage(xa, attn, cfg, ffn_view(model, i), block_index=i)
         else:
-            x_next = xa + ffn(xa, ffn_view(model, i))
+            x_next = ffn(xa, ffn_view(model, i))
+            x_next += xa
             trace = _passthrough_trace(xa, attn, cfg, i)
         if capture_streams:
             trace = replace(trace, x_pre=xa.copy(), x_post=x_next.copy())

@@ -3,6 +3,11 @@
 Matrices are plain 2-D C-contiguous float64 ndarrays.  Every public
 operation validates shapes against its contract and guarantees a finite
 result; the heavy lifting is delegated to numpy/scipy.
+
+Kernel contract: every kernel returns a fresh array, never writes into
+its arguments, and is bitwise equal to its textbook formula.  Only
+temporaries are updated in place, in an order that keeps those bits, so
+band membership and match edges cannot flip.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from scipy.special import erf
 
 __all__ = [
     "as_matrix",
-    "matmul",
     "row_softmax",
     "layer_norm",
     "gelu",
@@ -37,26 +41,15 @@ def _check_finite(m: np.ndarray, op: str) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Dense product a @ b with an explicit inner-dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul dimension mismatch: {a.shape[0]}x{a.shape[1]} times "
-            f"{b.shape[0]}x{b.shape[1]}"
-        )
-    return _check_finite(a @ b, "matmul")
-
-
 def row_softmax(a) -> np.ndarray:
     """Softmax over each row, stabilized by max subtraction."""
     a = as_matrix(a)
     if a.size == 0:
         return a.copy()
-    shifted = a - a.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return _check_finite(e / e.sum(axis=1, keepdims=True), "row_softmax")
+    e = a - a.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return _check_finite(e, "row_softmax")
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-6) -> np.ndarray:
@@ -69,16 +62,26 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> np.ndarray:
             f"layer_norm affine length mismatch: x has {x.shape[1]} columns, "
             f"gain has shape {gain.shape}, bias has shape {bias.shape}"
         )
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    normed = (x - mu) / np.sqrt(var + eps)
-    return _check_finite(normed * gain + bias, "layer_norm")
+    # (x - mu) / sqrt(var + eps) * gain + bias, var summed and divided
+    # by the column count in np.var's order
+    dev = x - x.mean(axis=1, keepdims=True)
+    dev /= np.sqrt((dev * dev).sum(axis=1, keepdims=True) / x.shape[1] + eps)
+    dev *= gain
+    dev += bias
+    return _check_finite(dev, "layer_norm")
 
 
 def gelu(x) -> np.ndarray:
     """Exact GELU x * Phi(x) with the Gaussian CDF (no tanh approximation)."""
     x = as_matrix(x)
-    return _check_finite(0.5 * x * (1.0 + erf(x * _INV_SQRT2)), "gelu")
+    # 0.5 * x * (1 + erf(x / sqrt(2))); halving last keeps the bits: it is
+    # exact except on subnormals, where 1 + erf(...) is exactly 1
+    y = x * _INV_SQRT2
+    erf(y, out=y)
+    y += 1.0
+    y *= x
+    y *= 0.5
+    return _check_finite(y, "gelu")
 
 
 def mean_std_median(v) -> tuple[float, float, float]:

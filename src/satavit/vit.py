@@ -268,19 +268,22 @@ def mhsa(x, w: AttnWeights, heads: int) -> AttentionOutput:
     scale = 1.0 / np.sqrt(hd)
 
     normed = layer_norm(x, w.ln_gain, w.ln_bias, eps=LN_EPS)
-    q = normed @ w.wq + w.bq
-    k = normed @ w.wk + w.bk
-    v = normed @ w.wv + w.bv
+    q, k, v = normed @ w.wq, normed @ w.wk, normed @ w.wv
+    q += w.bq
+    k += w.bk
+    v += w.bv
 
-    maps = np.empty((heads, n, n))
+    # all heads at once: each head's column block viewed as (heads, n, hd)
     attended = np.empty((n, d))
-    for h in range(heads):
-        sl = slice(h * hd, (h + 1) * hd)
-        logits = (q[:, sl] @ k[:, sl].T) * scale
-        maps[h] = row_softmax(logits)
-        attended[:, sl] = maps[h] @ v[:, sl]
+    qh, kh, vh, ah = (m.reshape(n, heads, hd).transpose(1, 0, 2) for m in (q, k, v, attended))
+    logits = qh @ kh.transpose(0, 2, 1)
+    logits *= scale
+    maps = row_softmax(logits.reshape(heads * n, n)).reshape(heads, n, n)
+    np.matmul(maps, vh, out=ah)
 
-    features = x + (attended @ w.wo + w.bo)
+    features = attended @ w.wo
+    features += w.bo
+    features += x
     return AttentionOutput(
         features=features,
         mean_attention=maps.mean(axis=0),
@@ -302,5 +305,8 @@ def ffn(x, w: FfnWeights) -> np.ndarray:
         )
     if x.shape[0] == 0:
         return np.zeros_like(x)
-    normed = layer_norm(x, w.ln_gain, w.ln_bias, eps=LN_EPS)
-    return gelu(normed @ w.w1 + w.b1) @ w.w2 + w.b2
+    h = layer_norm(x, w.ln_gain, w.ln_bias, eps=LN_EPS) @ w.w1
+    h += w.b1
+    out = gelu(h) @ w.w2
+    out += w.b2
+    return out

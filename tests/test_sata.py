@@ -8,23 +8,11 @@ from hypothesis import strategies as st
 from satavit.moran import SpatialScores, spatial_scores
 from satavit.sata import bipartite_match, ffn_flops, sata_stage, split_tokens
 from satavit.tensorops import row_softmax
-from satavit.vit import AttentionOutput, FfnWeights, ModelConfig, ffn
+from satavit.vit import AttentionOutput, ModelConfig, ffn
 
 from conftest import random_attention_maps
 from test_moran import naive_scores
-from test_vit import ref_ffn_delta
-
-
-def make_ffn_weights(rng, d, hidden):
-    scale = 1.0 / np.sqrt(d)
-    return FfnWeights(
-        ln_gain=np.ones(d),
-        ln_bias=np.zeros(d),
-        w1=rng.normal(size=(d, hidden)) * scale,
-        b1=rng.normal(size=hidden) * scale,
-        w2=rng.normal(size=(hidden, d)) * scale,
-        b2=rng.normal(size=d) * scale,
-    )
+from test_vit import make_ffn_weights, ref_ffn_delta
 
 
 def make_attention(rng, heads, n, features=None):

@@ -1,45 +1,101 @@
 import math
+from dataclasses import astuple, is_dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import erf
 
 from satavit.tensorops import (
     cosine_similarity,
     gelu,
     layer_norm,
-    matmul,
     mean_std_median,
     row_softmax,
 )
 
+# ---------------------------------------------------------------------------
+# textbook expressions: the kernels must equal these bit for bit
 
-class TestMatmul:
-    def test_identity_case(self):
-        out = matmul([[1, 0], [0, 1]], [[3, 4], [5, 6]])
-        assert np.array_equal(out, [[3, 4], [5, 6]])
 
-    def test_hand_product(self):
-        assert np.array_equal(matmul([[1, 2]], [[3], [4]]), [[11]])
+def textbook_row_softmax(a):
+    e = np.exp(a - a.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
-    def test_dimension_mismatch_reports_both_shapes(self):
-        with pytest.raises(ValueError, match=r"2x3.*4x2"):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
 
-    def test_identity_association_exact(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(5, 5))
-        eye = np.eye(5)
-        assert np.array_equal(matmul(eye, a), a)
-        assert np.array_equal(matmul(a, eye), a)
+def textbook_layer_norm(x, gain, bias, eps=1e-6):
+    mu = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    return (x - mu) / np.sqrt(var + eps) * gain + bias
 
-    def test_nonfinite_result_rejected(self):
-        big = np.full((1, 1), 1e200)
-        with np.errstate(over="ignore"):
-            sq = big @ big
-        with pytest.raises(FloatingPointError):
-            matmul(big, sq)
+
+def textbook_gelu(x):
+    return 0.5 * x * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+
+
+@st.composite
+def matrices(draw, max_side=12):
+    """Float64 matrices with |x| <= 1e3, single rows or columns, and some
+    rows made constant."""
+    shape = (draw(st.integers(1, max_side)), draw(st.integers(1, max_side)))
+    m = draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+    constant = draw(arrays(np.bool_, shape[0]))
+    m[constant] = m[constant, :1]
+    return m
+
+
+@st.composite
+def layer_norm_inputs(draw):
+    x = draw(matrices())
+    vec = arrays(np.float64, x.shape[1], elements=st.floats(-10, 10))
+    return x, draw(vec), draw(vec)
+
+
+def assert_untouched(call, *args):
+    """``call(*args)`` leaves every argument array, and every array field
+    of a dataclass argument, byte-identical."""
+    held = []
+    for arg in args:
+        held.extend(f for f in (astuple(arg) if is_dataclass(arg) else (arg,))
+                    if isinstance(f, np.ndarray))
+    before = [a.tobytes() for a in held]
+    call(*args)
+    assert [a.tobytes() for a in held] == before
+
+
+class TestTextbookBitwise:
+    @settings(max_examples=200, deadline=None)
+    @given(matrices())
+    @example(np.full((1, 1), 1e3))
+    @example(np.array([[-1e3, 1e3, 0.0]]))
+    def test_row_softmax(self, a):
+        assert np.array_equal(row_softmax(a), textbook_row_softmax(a))
+
+    @settings(max_examples=200, deadline=None)
+    @given(layer_norm_inputs())
+    @example((np.full((3, 1), -7.5), np.ones(1), np.zeros(1)))
+    @example((np.full((1, 5), 1e3), np.full(5, 2.0), np.full(5, -1.0)))
+    def test_layer_norm(self, args):
+        assert np.array_equal(layer_norm(*args), textbook_layer_norm(*args))
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices())
+    @example(np.array([[5e-324, -5e-324, 2.2250738585072014e-308, -8.3, 8.3, 40.0]]))
+    def test_gelu(self, x):
+        assert np.array_equal(gelu(x), textbook_gelu(x))
+
+
+class TestInputsUntouched:
+    @settings(max_examples=50, deadline=None)
+    @given(matrices())
+    def test_kernels_leave_arguments_byte_identical(self, x):
+        d = x.shape[1]
+        assert_untouched(row_softmax, x)
+        assert_untouched(gelu, x)
+        assert_untouched(layer_norm, x, np.linspace(0.5, 2.0, d), np.linspace(-1, 1, d))
+
 
 
 class TestRowSoftmax:

@@ -1,6 +1,7 @@
 """Layer and forward tests, including a straight-line reference forward."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,15 @@ import pytest
 from satavit import ModelConfig, forward, random_init
 from satavit.engine import classify, embed, run_blocks
 from satavit.modelio import attn_view, embed_view, ffn_view, head_view
+from satavit.sata import sata_stage
 from satavit.vit import AttnWeights, EmbedWeights, FfnWeights, ffn, mhsa, patch_embed
+
+from test_tensorops import (
+    assert_untouched,
+    textbook_gelu,
+    textbook_layer_norm,
+    textbook_row_softmax,
+)
 
 EPS = 1e-6  # layer-norm epsilon pinned by the block contract
 
@@ -102,6 +111,36 @@ def ref_forward(image, model):
     hw = head_view(model)
     final = ref_layer_norm(x[0], hw.ln_gain, hw.ln_bias)
     return np.array(ref_matvec(final, hw.weight, hw.bias))
+
+
+def loop_mhsa(x, w: AttnWeights, heads):
+    """Per-head loop with out-of-place adds; the batched kernel must equal it bitwise."""
+    n, d = x.shape
+    hd = d // heads
+    scale = 1.0 / np.sqrt(hd)
+    normed = textbook_layer_norm(x, w.ln_gain, w.ln_bias, EPS)
+    q = normed @ w.wq + w.bq
+    k = normed @ w.wk + w.bk
+    v = normed @ w.wv + w.bv
+    maps = np.empty((heads, n, n))
+    attended = np.empty((n, d))
+    for h in range(heads):
+        sl = slice(h * hd, (h + 1) * hd)
+        maps[h] = textbook_row_softmax((q[:, sl] @ k[:, sl].T) * scale)
+        attended[:, sl] = maps[h] @ v[:, sl]
+    return x + (attended @ w.wo + w.bo), maps.mean(axis=0), maps
+
+
+def make_ffn_weights(rng, d, hidden):
+    scale = 1.0 / np.sqrt(d)
+    return FfnWeights(
+        ln_gain=np.ones(d),
+        ln_bias=np.zeros(d),
+        w1=rng.normal(size=(d, hidden)) * scale,
+        b1=rng.normal(size=hidden) * scale,
+        w2=rng.normal(size=(hidden, d)) * scale,
+        b2=rng.normal(size=d) * scale,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +238,17 @@ class TestPatchEmbed:
 
 
 class TestMhsa:
-    def _rand_weights(self, rng, d):
+    def _rand_weights(self, rng, d, scale=1.0):
         return AttnWeights(
             ln_gain=np.ones(d),
             ln_bias=np.zeros(d),
-            wq=rng.normal(size=(d, d)),
+            wq=rng.normal(size=(d, d)) * scale,
             bq=rng.normal(size=d),
-            wk=rng.normal(size=(d, d)),
+            wk=rng.normal(size=(d, d)) * scale,
             bk=rng.normal(size=d),
-            wv=rng.normal(size=(d, d)),
+            wv=rng.normal(size=(d, d)) * scale,
             bv=rng.normal(size=d),
-            wo=rng.normal(size=(d, d)),
+            wo=rng.normal(size=(d, d)) * scale,
             bo=rng.normal(size=d),
         )
 
@@ -242,6 +281,25 @@ class TestMhsa:
         out = mhsa(rng.normal(size=(7, 8)) * 3, self._rand_weights(rng, 8), heads=4)
         assert np.max(np.abs(out.mean_attention.sum(axis=1) - 1.0)) < 1e-6
         assert np.max(np.abs(out.per_head.sum(axis=2) - 1.0)) < 1e-6
+
+    @pytest.mark.parametrize(
+        "n,d,heads",
+        [(1, 4, 2), (3, 4, 1), (9, 6, 2), (17, 12, 3), (33, 40, 4), (65, 192, 3), (197, 384, 6)],
+    )
+    def test_batched_heads_equal_per_head_loop_bitwise(self, n, d, heads):
+        rng = np.random.default_rng(n * d + heads)
+        w = self._rand_weights(rng, d, scale=1.0 / math.sqrt(d))
+        x = rng.normal(size=(n, d))
+        out = mhsa(x, w, heads)
+        features, mean_attention, per_head = loop_mhsa(x, w, heads)
+        assert np.array_equal(out.features, features)
+        assert np.array_equal(out.mean_attention, mean_attention)
+        assert np.array_equal(out.per_head, per_head)
+
+    def test_leaves_arguments_untouched(self):
+        rng = np.random.default_rng(8)
+        assert_untouched(lambda x, w: mhsa(x, w, 3), rng.normal(size=(10, 12)),
+                         self._rand_weights(rng, 12))
 
     def test_weight_shape_mismatch(self):
         rng = np.random.default_rng(5)
@@ -292,6 +350,35 @@ class TestFfn:
         x = rng.normal(size=(5, 4))
         assert np.max(np.abs(ffn(x, w) - ref_ffn_delta(x.tolist(), w))) < 1e-9
 
+    @pytest.mark.parametrize("n,d,hidden", [(1, 4, 8), (7, 8, 32), (197, 384, 1536)])
+    def test_equals_textbook_expression_bitwise(self, n, d, hidden):
+        rng = np.random.default_rng(n + d)
+        w = make_ffn_weights(rng, d, hidden)
+        x = rng.normal(size=(n, d))
+        normed = textbook_layer_norm(x, w.ln_gain, w.ln_bias, EPS)
+        assert np.array_equal(ffn(x, w), textbook_gelu(normed @ w.w1 + w.b1) @ w.w2 + w.b2)
+
+    def test_leaves_arguments_untouched(self):
+        rng = np.random.default_rng(9)
+        assert_untouched(ffn, rng.normal(size=(6, 8)), make_ffn_weights(rng, 8, 32))
+
+    def test_peak_allocation_at_vit_s_shape(self):
+        # one ffn call may hold at most 2.6 float64 (n, hidden) buffers at once
+        n, d, hidden = 197, 384, 1536
+        rng = np.random.default_rng(10)
+        w = make_ffn_weights(rng, d, hidden)
+        x = rng.normal(size=(n, d))
+        ffn(x, w)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            ffn(x, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / (n * hidden * 8) <= 2.6
+
 
 class TestForward:
     def test_gamma_one_is_bitwise_vanilla(self, small_model):
@@ -323,6 +410,17 @@ class TestForward:
             for got, want in zip(traces, want_traces):
                 assert np.array_equal(got.s_snapshot, want.s_snapshot)
                 assert got.ffn_flops == want.ffn_flops
+
+    def test_stage_and_blocks_leave_arguments_untouched(self, small_model):
+        cfg = small_model.config.with_overrides(gamma=0.0)
+        img = np.linspace(0, 1, cfg.image * cfg.image).reshape(cfg.image, cfg.image)
+        x = embed(img, small_model, cfg)
+        attn = mhsa(x, attn_view(small_model, 0), cfg.heads)
+        assert_untouched(lambda xa, a, w: sata_stage(xa, a, cfg, w), attn.features, attn,
+                         ffn_view(small_model, 0))
+        for stage in (True, False):
+            run_cfg = cfg.with_overrides(sata_enabled=stage)
+            assert_untouched(lambda s: run_blocks(s, small_model, run_cfg, 0, cfg.depth), x)
 
     def test_block_range_checked(self, small_model):
         cfg = small_model.config
