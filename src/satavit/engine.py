@@ -6,11 +6,13 @@ run separately: ``embed`` (patch tokens plus class token),
 ``classify`` (final LayerNorm and head).  The harness uses them to
 resume from a cached stream instead of recomputing a shared prefix.
 
-Every block records a :class:`~satavit.sata.BlockTrace` whether or not
-the token-analysis stage acts there, so score statistics and FLOPs are
-observable across the whole depth.  In blocks where the stage is
-inactive the trace reports the diagnostic scores and band bounds with
-an empty out-of-band set (all tokens go to the FFN).
+Every block goes through :func:`~satavit.sata.sata_stage`, which
+scores and bands the tokens and records the block's
+:class:`~satavit.sata.BlockTrace`, so score statistics and FLOPs are
+observable across the whole depth.  Before ``sata_start_block`` or
+with the stage disabled it runs with ``merge=False``: the full FFN on
+the whole stream, and a trace with the real scores and band bounds
+but an empty out-of-band set.
 """
 
 from __future__ import annotations
@@ -20,40 +22,13 @@ from dataclasses import replace
 import numpy as np
 
 from .modelio import Model, attn_view, embed_view, ffn_view, head_view
+# ffn and spatial_scores are unused here; perfbench/run.py traces them as engine globals
 from .moran import spatial_scores
-from .sata import BlockTrace, moran_weights, ffn_flops, sata_stage
+from .sata import BlockTrace, sata_stage
 from .tensorops import layer_norm
-from .vit import LN_EPS, AttentionOutput, ModelConfig, ffn, mhsa, patch_embed
+from .vit import LN_EPS, ModelConfig, ffn, mhsa, patch_embed
 
 __all__ = ["forward", "embed", "run_blocks", "classify"]
-
-
-def _passthrough_trace(
-    x: np.ndarray, attn: AttentionOutput, cfg: ModelConfig, block_index: int
-) -> BlockTrace:
-    """Diagnostic trace for a block where the token stage does not act."""
-    scores = spatial_scores(
-        x[1:], moran_weights(attn, cfg), row_convention=cfg.moran_row_convention
-    )
-    lower = cfg.alpha * (scores.mean_s - scores.abs_median_s)
-    upper = cfg.alpha * (scores.mean_s + scores.abs_median_s)
-    n_all, d = x.shape
-    hidden = cfg.hidden
-    return BlockTrace(
-        block_index=block_index,
-        n_a=0,
-        n_b=n_all - 1,
-        n_groups=0,
-        n_residual=0,
-        ffn_tokens=n_all,
-        s_snapshot=scores.s.copy(),
-        bounds=(float(lower), float(upper)),
-        ffn_flops=ffn_flops(n_all, d, hidden),
-        mean_s=scores.mean_s,
-        abs_median_s=scores.abs_median_s,
-        residual_indices=np.empty(0, dtype=np.int64),
-        cls_attention=attn.mean_attention[0, 1:].copy(),
-    )
 
 
 def embed(image, model: Model, cfg: ModelConfig) -> np.ndarray:
@@ -82,12 +57,10 @@ def run_blocks(
     for i in range(first, stop):
         attn = mhsa(x, attn_view(model, i), cfg.heads)
         xa = attn.features
-        if cfg.sata_enabled and i >= start:
-            x_next, trace = sata_stage(xa, attn, cfg, ffn_view(model, i), block_index=i)
-        else:
-            x_next = ffn(xa, ffn_view(model, i))
-            x_next += xa
-            trace = _passthrough_trace(xa, attn, cfg, i)
+        x_next, trace = sata_stage(
+            xa, attn, cfg, ffn_view(model, i), block_index=i,
+            merge=cfg.sata_enabled and i >= start,
+        )
         if capture_streams:
             trace = replace(trace, x_pre=xa.copy(), x_post=x_next.copy())
         traces.append(trace)

@@ -490,8 +490,13 @@ def sweep(
 # selftest: built-in oracle suites
 
 
-def _naive_spatial_scores(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Straight-line reference for the score pipeline (plain Python loops)."""
+def _naive_spatial_scores(
+    x: np.ndarray, w: np.ndarray, row_convention: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Straight-line reference for the score pipeline (plain Python loops).
+
+    Returns the scores ``s`` and the raw local Moran values.
+    """
     n, d = x.shape
     a = [sum(float(x[i, t]) for t in range(d)) / d for i in range(n)]
 
@@ -510,9 +515,9 @@ def _naive_spatial_scores(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     for i in range(n):
         acc = 0.0
         for j in range(n):
-            acc += z[j] * float(w[j, i])
+            acc += z[j] * (float(w[i, j]) if row_convention else float(w[j, i]))
         raw.append(z[i] * acc)
-    return np.array(znorm(raw))
+    return np.array(znorm(raw)), np.array(raw)
 
 
 def _random_attention(gen: SplitMix64, heads: int, n: int) -> AttentionOutput:
@@ -546,7 +551,7 @@ def _check_moran_oracle(gen: SplitMix64, cases: int) -> float:
         x = gen.normal(n * d).reshape(n, d)
         w = gen.normal(n * n).reshape(n, n)
         got = spatial_scores(x, w).s
-        want = _naive_spatial_scores(x, w)
+        want, _ = _naive_spatial_scores(x, w)
         worst = max(worst, float(np.max(np.abs(got - want))))
     return worst
 

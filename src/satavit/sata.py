@@ -210,6 +210,7 @@ def sata_stage(
     cfg: ModelConfig,
     ffn_weights: FfnWeights,
     block_index: int = 0,
+    merge: bool = True,
 ) -> tuple[np.ndarray, BlockTrace]:
     """Score, split, merge, run the reduced FFN, and restore all positions.
 
@@ -217,6 +218,12 @@ def sata_stage(
     row 0; the class token is exempt from splitting and always routed
     to the FFN.  The output has exactly the input token count, in the
     original order.
+
+    With ``merge=False`` (a block where the stage does not act) the
+    block is still scored and banded for the trace, but the full FFN
+    runs on the stream itself with no gather or restore; the trace then
+    reports an empty out-of-band set (``n_a=0``, ``n_b=N-1``, no groups,
+    no residuals, ``ffn_tokens=N``) next to the real bounds and scores.
     """
     x = as_matrix(x)
     n_all, d = x.shape
@@ -232,39 +239,47 @@ def sata_stage(
         patches, moran_weights(attn, cfg), row_convention=cfg.moran_row_convention
     )
     split = split_tokens(scores, cfg.alpha)
-    plan = bipartite_match(split.set_a, patches, metric=cfg.match_metric)
+    if not merge:
+        out = ffn(x, ffn_weights)
+        out += x
+        n_a, n_b, n_groups, n_tokens = 0, n_all - 1, 0, n_all
+        residuals = np.empty(0, dtype=np.int64)
+    else:
+        plan = bipartite_match(split.set_a, patches, metric=cfg.match_metric)
+        reps = (
+            np.stack([g.representative for g in plan.groups])
+            if plan.groups
+            else np.zeros((0, d))
+        )
+        ffn_in = np.concatenate([x[:1], patches[split.set_b], reps], axis=0)
+        deltas = ffn(ffn_in, ffn_weights)
 
-    reps = (
-        np.stack([g.representative for g in plan.groups])
-        if plan.groups
-        else np.zeros((0, d))
-    )
-    ffn_in = np.concatenate([x[:1], patches[split.set_b], reps], axis=0)
-    deltas = ffn(ffn_in, ffn_weights)
+        out = x.copy()
+        out[0] += deltas[0]
+        out[1 + split.set_b] += deltas[1 : 1 + split.set_b.size]
+        offset = 1 + split.set_b.size
+        for gi, group in enumerate(plan.groups):
+            out[1 + group.members] += deltas[offset + gi]
+        # residual rows stay bitwise untouched
 
-    out = x.copy()
-    out[0] += deltas[0]
-    out[1 + split.set_b] += deltas[1 : 1 + split.set_b.size]
-    offset = 1 + split.set_b.size
-    for gi, group in enumerate(plan.groups):
-        out[1 + group.members] += deltas[offset + gi]
-    # residual rows stay bitwise untouched
+        n_a, n_b, n_groups = int(split.set_a.size), int(split.set_b.size), len(plan.groups)
+        n_tokens = ffn_in.shape[0]
+        residuals = plan.residuals.copy()
 
-    n_tokens = ffn_in.shape[0]
     hidden = ffn_weights.w1.shape[1]
     trace = BlockTrace(
         block_index=block_index,
-        n_a=int(split.set_a.size),
-        n_b=int(split.set_b.size),
-        n_groups=len(plan.groups),
-        n_residual=int(plan.residuals.size),
+        n_a=n_a,
+        n_b=n_b,
+        n_groups=n_groups,
+        n_residual=int(residuals.size),
         ffn_tokens=n_tokens,
         s_snapshot=scores.s.copy(),
         bounds=(split.lower, split.upper),
         ffn_flops=ffn_flops(n_tokens, d, hidden),
         mean_s=scores.mean_s,
         abs_median_s=scores.abs_median_s,
-        residual_indices=plan.residuals.copy(),
+        residual_indices=residuals,
         cls_attention=attn.mean_attention[0, 1:].copy(),
     )
     return out, trace

@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import satavit
 from satavit import ModelConfig, random_init
+
+SRC = str(Path(satavit.__file__).resolve().parents[1])
 
 
 @pytest.fixture
@@ -20,3 +28,14 @@ def random_attention_maps(rng: np.random.Generator, heads: int, n: int) -> np.nd
     logits = rng.normal(size=(heads, n, n))
     e = np.exp(logits - logits.max(axis=2, keepdims=True))
     return e / e.sum(axis=2, keepdims=True)
+
+
+def run_cli(*args):
+    """Run ``python -m satavit`` in a child process on the sources under test."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "satavit", *map(str, args)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )

@@ -6,8 +6,6 @@ criterion.
 """
 
 import json
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -24,10 +22,11 @@ from satavit import (
     split_tokens,
     stability_report,
 )
+from satavit.harness import _naive_spatial_scores as naive_scores
 from satavit.moran import SpatialScores
 from satavit.sata import ffn_flops
 
-from test_moran import naive_scores
+from conftest import run_cli
 
 
 @pytest.fixture
@@ -47,14 +46,6 @@ def base_model():
     cfg = ModelConfig(depth=8, dim=32, heads=4, patch=4, image=16, num_classes=10,
                       gamma=0.7, alpha=1.0)
     return random_init(cfg, seed=31337)
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "satavit", *map(str, args)],
-        capture_output=True,
-        text=True,
-    )
 
 
 def test_moran_oracle_equivalence(report):

@@ -1,12 +1,12 @@
 """CLI contract: subcommands, exit codes, byte-stable CSV output."""
 
 import json
-import subprocess
-import sys
 
 import pytest
 
 from satavit import ModelConfig, cli, forward, load_model, random_image, write_raw_image
+
+from conftest import run_cli
 
 CONFIG = {
     "depth": 4,
@@ -18,14 +18,6 @@ CONFIG = {
     "gamma": 0.5,
     "alpha": 1.0,
 }
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "satavit", *map(str, args)],
-        capture_output=True,
-        text=True,
-    )
 
 
 @pytest.fixture(scope="module")

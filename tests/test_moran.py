@@ -1,10 +1,9 @@
 """Score pipeline tests against a straight-line loop oracle."""
 
-import math
-
 import numpy as np
 import pytest
 
+from satavit.harness import _naive_spatial_scores as naive_scores
 from satavit.moran import (
     SpatialScores,
     global_attribute,
@@ -12,30 +11,6 @@ from satavit.moran import (
     spatial_scores,
     z_normalize,
 )
-
-
-def naive_scores(x, w, row_convention=False):
-    """Triple-loop reference: attribute, z-norm, diagonal contraction, z-norm."""
-    n, d = x.shape
-    a = [sum(float(x[i, t]) for t in range(d)) / d for i in range(n)]
-
-    def znorm(vals):
-        if all(v == vals[0] for v in vals):
-            return [0.0] * len(vals)
-        mu = sum(vals) / len(vals)
-        var = sum((v - mu) ** 2 for v in vals) / len(vals)
-        if var == 0.0:
-            return [0.0] * len(vals)
-        return [(v - mu) / math.sqrt(var) for v in vals]
-
-    z = znorm(a)
-    raw = []
-    for i in range(n):
-        acc = 0.0
-        for j in range(n):
-            acc += z[j] * (float(w[i, j]) if row_convention else float(w[j, i]))
-        raw.append(z[i] * acc)
-    return np.array(znorm(raw)), np.array(raw)
 
 
 class TestGlobalAttribute:

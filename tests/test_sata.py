@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satavit.harness import _naive_spatial_scores as naive_scores
 from satavit.moran import SpatialScores, spatial_scores
 from satavit.sata import bipartite_match, ffn_flops, sata_stage, split_tokens
 from satavit.tensorops import row_softmax
 from satavit.vit import AttentionOutput, ModelConfig, ffn
 
 from conftest import random_attention_maps
-from test_moran import naive_scores
 from test_vit import make_ffn_weights, ref_ffn_delta
 
 
@@ -356,6 +356,9 @@ class TestSataStage:
             assert trace.ffn_flops == ffn_flops(trace.ffn_tokens, cfg.dim, cfg.hidden)
             for idx in trace.residual_indices:
                 assert np.array_equal(out[1 + idx], x[1 + idx])
+            full, passive = sata_stage(x, attn, cfg, fw, merge=False)
+            assert np.array_equal(full, x + ffn(x, fw))
+            assert passive.bounds == trace.bounds and passive.ffn_tokens == n
 
     def test_attention_reduce_max_uses_per_head(self):
         rng = np.random.default_rng(45)

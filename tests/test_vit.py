@@ -9,7 +9,8 @@ import pytest
 from satavit import ModelConfig, forward, random_init
 from satavit.engine import classify, embed, run_blocks
 from satavit.modelio import attn_view, embed_view, ffn_view, head_view
-from satavit.sata import sata_stage
+from satavit.moran import spatial_scores
+from satavit.sata import ffn_flops, sata_stage, split_tokens
 from satavit.vit import AttnWeights, EmbedWeights, FfnWeights, ffn, mhsa, patch_embed
 
 from test_tensorops import (
@@ -416,11 +417,41 @@ class TestForward:
         img = np.linspace(0, 1, cfg.image * cfg.image).reshape(cfg.image, cfg.image)
         x = embed(img, small_model, cfg)
         attn = mhsa(x, attn_view(small_model, 0), cfg.heads)
-        assert_untouched(lambda xa, a, w: sata_stage(xa, a, cfg, w), attn.features, attn,
-                         ffn_view(small_model, 0))
+        for merge in (True, False):
+            assert_untouched(lambda xa, a, w: sata_stage(xa, a, cfg, w, merge=merge),
+                             attn.features, attn, ffn_view(small_model, 0))
         for stage in (True, False):
             run_cfg = cfg.with_overrides(sata_enabled=stage)
             assert_untouched(lambda s: run_blocks(s, small_model, run_cfg, 0, cfg.depth), x)
+
+    @pytest.mark.parametrize("overrides", [{"sata_enabled": False}, {"gamma": 0.7}],
+                             ids=["stage-off", "gamma-0.7"])
+    def test_inactive_block_traces_match_straight_line_reference(self, small_model,
+                                                                 overrides):
+        cfg = small_model.config.with_overrides(**overrides)
+        img = np.linspace(0, 1, cfg.image * cfg.image).reshape(cfg.image, cfg.image)
+        _, traces = forward(img, small_model, cfg=cfg, capture_streams=True)
+        assert len(traces) == cfg.depth
+        assert cfg.sata_start_block >= cfg.depth or not cfg.sata_enabled
+        x = embed(img, small_model, cfg)
+        n, d = x.shape
+        for i, tr in enumerate(traces):
+            attn = mhsa(x, attn_view(small_model, i), cfg.heads)
+            xa = attn.features
+            scores = spatial_scores(xa[1:], attn.mean_attention[1:, 1:])
+            split = split_tokens(scores, cfg.alpha)
+            x = xa + ffn(xa, ffn_view(small_model, i))
+            assert tr.block_index == i
+            assert (tr.n_a, tr.n_b, tr.n_groups, tr.n_residual) == (0, n - 1, 0, 0)
+            assert tr.ffn_tokens == n
+            assert tr.ffn_flops == ffn_flops(n, d, cfg.hidden)
+            assert np.array_equal(tr.s_snapshot, scores.s)
+            assert tr.bounds == (split.lower, split.upper)
+            assert tr.mean_s == scores.mean_s and tr.abs_median_s == scores.abs_median_s
+            assert tr.residual_indices.dtype == np.int64 and tr.residual_indices.size == 0
+            assert np.array_equal(tr.cls_attention, attn.mean_attention[0, 1:])
+            assert np.array_equal(tr.x_pre, xa)
+            assert np.array_equal(tr.x_post, x)
 
     def test_block_range_checked(self, small_model):
         cfg = small_model.config
