@@ -34,7 +34,8 @@ print("\nbipartite matching over A (alpha = 1.0):")
 print("  sources A1 :", plan.a1.tolist())
 print("  targets A2 :", plan.a2.tolist())
 print("  edges      :", plan.edges)
-for i, g in enumerate(plan.groups):
-    print(f"  group {i}    : members {g.members.tolist()} "
-          f"(representative = mean of {len(g.members)} rows)")
+print("  members    :", plan.members.tolist(), "(by group, ascending target)")
+print("  group sizes:", plan.group_sizes.tolist(),
+      "(each representative = mean of its members' rows)")
+print("  reps shape :", plan.representatives.shape)
 print("  residuals  :", plan.residuals.tolist(), "(skip the FFN entirely)")

@@ -37,7 +37,6 @@ from .moran import SpatialScores, global_attribute, local_moran, spatial_scores,
 from .rng import SplitMix64
 from .sata import (
     BlockTrace,
-    MergeGroup,
     MergePlan,
     SplitResult,
     bipartite_match,
@@ -49,7 +48,6 @@ from .tensorops import (
     cosine_similarity,
     gelu,
     layer_norm,
-    mean_std_median,
     row_softmax,
 )
 from .vit import AttentionOutput, ModelConfig, ffn, mhsa, patch_embed
@@ -64,7 +62,6 @@ __all__ = [
     "CorruptionSpec",
     "Model",
     "ModelConfig",
-    "MergeGroup",
     "MergePlan",
     "SchemaError",
     "SpatialScores",
@@ -85,7 +82,6 @@ __all__ = [
     "load_image",
     "load_model",
     "local_moran",
-    "mean_std_median",
     "mhsa",
     "model_checksum",
     "patch_embed",

@@ -272,23 +272,20 @@ def stability_report(
     image,
     spec: CorruptionSpec | None,
     cfg: ModelConfig | None = None,
-    corrupted=None,
     out=None,
 ) -> list[StabilityRecord]:
     """Per-block clean-vs-corrupted cosine similarities.
 
     ``delta_attention`` compares the class-token attention row over the
-    patch tokens, ``delta_sata`` the spatial score vector.  With
-    neither ``spec`` nor ``corrupted`` the clean image is compared to
-    itself (all deltas exactly 1) from a single forward.
+    patch tokens, ``delta_sata`` the spatial score vector.  Without a
+    ``spec`` the clean image is compared to itself (all deltas exactly
+    1) from a single forward.
     """
     _, clean_traces = forward(image, model, cfg=cfg)
-    if corrupted is None and spec is None:
+    if spec is None:
         corr_traces = clean_traces
     else:
-        if corrupted is None:
-            corrupted = corrupt(image, spec)
-        _, corr_traces = forward(corrupted, model, cfg=cfg)
+        _, corr_traces = forward(corrupt(image, spec), model, cfg=cfg)
     records = _stability_records(clean_traces, corr_traces)
     if out is not None:
         write_csv(
@@ -585,14 +582,11 @@ def _check_merge_plans(gen: SplitMix64, cases: int) -> float:
         again = bipartite_match(set_a, feats)
         if plan.edges != again.edges:
             return float("inf")
-        covered = list(plan.residuals)
-        for g in plan.groups:
-            covered.extend(g.members)
-            worst = max(
-                worst,
-                float(np.max(np.abs(g.representative - feats[g.members].mean(axis=0)))),
-            )
-        if sorted(covered) != sorted(set_a.tolist()):
+        groups = np.split(plan.members, np.cumsum(plan.group_sizes)[:-1])
+        for rep, members in zip(plan.representatives, groups):
+            worst = max(worst, float(np.max(np.abs(rep - feats[members].mean(axis=0)))))
+        covered = np.concatenate([plan.residuals, plan.members])
+        if sorted(covered.tolist()) != sorted(set_a.tolist()):
             return float("inf")
     return worst
 

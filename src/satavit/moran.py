@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensorops import as_matrix, mean_std_median
+from .tensorops import as_matrix
 
 __all__ = [
     "SpatialScores",
@@ -49,8 +49,9 @@ class SpatialScores:
         if s.size == 0:
             raise ValueError("SpatialScores needs at least one score")
         raw = s.copy() if raw_i is None else np.asarray(raw_i, dtype=np.float64).ravel()
-        mean_s, _, median_s = mean_std_median(s)
-        return cls(s=s, mean_s=mean_s, abs_median_s=abs(median_s), raw_i=raw)
+        return cls(
+            s=s, mean_s=float(s.mean()), abs_median_s=abs(float(np.median(s))), raw_i=raw
+        )
 
 
 def global_attribute(x) -> np.ndarray:
@@ -74,10 +75,12 @@ def z_normalize(a) -> np.ndarray:
         raise ValueError("cannot normalize an empty vector")
     if np.all(a == a[0]):
         return np.zeros_like(a)
-    sigma = a.std()
+    # population std summed in np.std's order, so the bits match a.std()
+    dev = a - a.mean()
+    sigma = np.sqrt((dev * dev).sum() / a.size)
     if sigma == 0.0:
         return np.zeros_like(a)
-    return (a - a.mean()) / sigma
+    return dev / sigma
 
 
 def local_moran(z, w, row_convention: bool = False) -> np.ndarray:
@@ -103,6 +106,4 @@ def spatial_scores(x, w, row_convention: bool = False) -> SpatialScores:
     x = as_matrix(x)
     z = z_normalize(global_attribute(x))
     raw = local_moran(z, w, row_convention=row_convention)
-    s = z_normalize(raw)
-    mean_s, _, median_s = mean_std_median(s)
-    return SpatialScores(s=s, mean_s=mean_s, abs_median_s=abs(median_s), raw_i=raw)
+    return SpatialScores.from_values(z_normalize(raw), raw)

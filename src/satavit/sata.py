@@ -27,7 +27,6 @@ from .vit import AttentionOutput, FfnWeights, ModelConfig, ffn
 
 __all__ = [
     "SplitResult",
-    "MergeGroup",
     "MergePlan",
     "BlockTrace",
     "split_tokens",
@@ -48,19 +47,15 @@ class SplitResult:
 
 
 @dataclass(frozen=True)
-class MergeGroup:
-    members: np.ndarray  # token indices, ascending
-    representative: np.ndarray  # mean of the members' feature rows
-
-
-@dataclass(frozen=True)
 class MergePlan:
     """Bipartite matching outcome over the out-of-band set."""
 
     a1: np.ndarray  # sources: even positions of set_a
     a2: np.ndarray  # targets: odd positions of set_a
     edges: dict[int, int]  # source token index -> target token index
-    groups: list[MergeGroup]
+    members: np.ndarray  # merged tokens by group (ascending target), ascending within
+    group_sizes: np.ndarray  # member count of each group, in the same order
+    representatives: np.ndarray  # (groups, d): mean of each group's feature rows
     residuals: np.ndarray  # targets with no incoming edge
 
 
@@ -127,11 +122,14 @@ def bipartite_match(set_a, features, metric: str = "cosine") -> MergePlan:
         raise ValueError(f"unknown match metric {metric!r}")
 
     if set_a.size <= 1:
+        none = np.empty(0, dtype=np.int64)
         return MergePlan(
-            a1=np.empty(0, dtype=np.int64),
+            a1=none,
             a2=set_a.copy(),
             edges={},
-            groups=[],
+            members=none,
+            group_sizes=none,
+            representatives=np.zeros((0, features.shape[1])),
             residuals=set_a.copy(),
         )
 
@@ -154,30 +152,31 @@ def bipartite_match(set_a, features, metric: str = "cosine") -> MergePlan:
     # argmax returns the first maximum; a2 is ascending, so ties resolve
     # to the lowest token index
     choice = np.argmax(sim, axis=1)
-    edges = {int(src): int(a2[j]) for src, j in zip(a1, choice)}
+    edges = dict(zip(a1.tolist(), a2[choice].tolist()))
 
-    sources_of: dict[int, list[int]] = {}
-    for src, tgt in edges.items():
-        sources_of.setdefault(tgt, []).append(src)
+    hit = np.zeros(a2.size, dtype=bool)
+    hit[choice] = True
+    # every member keyed by its target's position in a2: ascending a2
+    # positions are ascending group targets
+    keys = np.concatenate([np.flatnonzero(hit), choice])
+    tokens = np.concatenate([a2[hit], a1])
+    members = tokens[np.lexsort((tokens, keys))]
+    group_sizes = np.bincount(choice, minlength=a2.size)[hit] + 1
 
-    groups = []
-    residual = []
-    for tgt in a2:
-        tgt = int(tgt)
-        if tgt in sources_of:
-            members = np.sort(np.array([tgt] + sources_of[tgt], dtype=np.int64))
-            groups.append(
-                MergeGroup(members=members, representative=features[members].mean(axis=0))
-            )
-        else:
-            residual.append(tgt)
+    # summed in member order from zero, then divided: bitwise equal to
+    # features[group].mean(axis=0) (np.add.reduceat is not)
+    reps = np.zeros((group_sizes.size, features.shape[1]))
+    np.add.at(reps, np.repeat(np.arange(group_sizes.size), group_sizes), features[members])
+    reps /= group_sizes[:, None]
 
     return MergePlan(
         a1=a1.copy(),
         a2=a2.copy(),
         edges=edges,
-        groups=groups,
-        residuals=np.array(residual, dtype=np.int64),
+        members=members,
+        group_sizes=group_sizes,
+        representatives=reps,
+        residuals=a2[~hit],
     )
 
 
@@ -246,25 +245,19 @@ def sata_stage(
         residuals = np.empty(0, dtype=np.int64)
     else:
         plan = bipartite_match(split.set_a, patches, metric=cfg.match_metric)
-        reps = (
-            np.stack([g.representative for g in plan.groups])
-            if plan.groups
-            else np.zeros((0, d))
-        )
-        ffn_in = np.concatenate([x[:1], patches[split.set_b], reps], axis=0)
+        ffn_in = np.concatenate([x[:1], patches[split.set_b], plan.representatives], axis=0)
         deltas = ffn(ffn_in, ffn_weights)
 
+        n_a, n_b = int(split.set_a.size), int(split.set_b.size)
         out = x.copy()
         out[0] += deltas[0]
-        out[1 + split.set_b] += deltas[1 : 1 + split.set_b.size]
-        offset = 1 + split.set_b.size
-        for gi, group in enumerate(plan.groups):
-            out[1 + group.members] += deltas[offset + gi]
+        out[1 + split.set_b] += deltas[1 : 1 + n_b]
+        out[1 + plan.members] += np.repeat(deltas[1 + n_b :], plan.group_sizes, axis=0)
         # residual rows stay bitwise untouched
 
-        n_a, n_b, n_groups = int(split.set_a.size), int(split.set_b.size), len(plan.groups)
+        n_groups = int(plan.group_sizes.size)
         n_tokens = ffn_in.shape[0]
-        residuals = plan.residuals.copy()
+        residuals = plan.residuals
 
     hidden = ffn_weights.w1.shape[1]
     trace = BlockTrace(
@@ -274,12 +267,13 @@ def sata_stage(
         n_groups=n_groups,
         n_residual=int(residuals.size),
         ffn_tokens=n_tokens,
-        s_snapshot=scores.s.copy(),
+        s_snapshot=scores.s,
         bounds=(split.lower, split.upper),
         ffn_flops=ffn_flops(n_tokens, d, hidden),
         mean_s=scores.mean_s,
         abs_median_s=scores.abs_median_s,
         residual_indices=residuals,
+        # a copy, because a view would keep the (n, n) mean map alive
         cls_attention=attn.mean_attention[0, 1:].copy(),
     )
     return out, trace

@@ -20,7 +20,6 @@ __all__ = [
     "row_softmax",
     "layer_norm",
     "gelu",
-    "mean_std_median",
     "cosine_similarity",
 ]
 
@@ -82,18 +81,6 @@ def gelu(x) -> np.ndarray:
     y *= x
     y *= 0.5
     return _check_finite(y, "gelu")
-
-
-def mean_std_median(v) -> tuple[float, float, float]:
-    """Mean, population standard deviation and median of a vector.
-
-    The std divides by N (population convention); the median of an
-    even-length vector is the mean of the two middle order statistics.
-    """
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise ValueError("mean_std_median of an empty vector")
-    return float(v.mean()), float(v.std()), float(np.median(v))
 
 
 def cosine_similarity(u, v) -> float:

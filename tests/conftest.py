@@ -30,12 +30,18 @@ def random_attention_maps(rng: np.random.Generator, heads: int, n: int) -> np.nd
     return e / e.sum(axis=2, keepdims=True)
 
 
-def run_cli(*args):
-    """Run ``python -m satavit`` in a child process on the sources under test."""
+def run_python(*args, cwd=None):
+    """Run ``python *args`` in a child process on the sources under test."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "satavit", *map(str, args)],
+        [sys.executable, *map(str, args)],
         capture_output=True,
         text=True,
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_cli(*args):
+    """Run ``python -m satavit`` in a child process on the sources under test."""
+    return run_python("-m", "satavit", *args)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from satavit.harness import _naive_spatial_scores as naive_scores
 from satavit.moran import (
@@ -42,6 +44,13 @@ class TestZNormalize:
     def test_nonrepresentable_constant_mean(self):
         # 5 copies of 0.3 have a rounded float mean; must still map to zeros
         assert np.array_equal(z_normalize([0.3] * 5), np.zeros(5))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40))
+    def test_bitwise_equal_to_textbook(self, values):
+        a = np.array(values)
+        assume(not np.all(a == a[0]) and a.std() > 0.0)
+        assert np.array_equal(z_normalize(a), (a - a.mean()) / a.std())
 
     def test_normalized_moments(self):
         rng = np.random.default_rng(5)
@@ -150,3 +159,25 @@ class TestSpatialScores:
         s = SpatialScores.from_values([-1.0, 0.0, 2.0])
         assert s.mean_s == pytest.approx(1.0 / 3.0)
         assert s.abs_median_s == 0.0
+        # odd length, even length (mean of the two middle values), singleton
+        for values, mean_s, abs_median_s in (
+            ([2, 4, 6], 4.0, 4.0),
+            ([1, 2, 3, 4], 2.5, 2.5),
+            ([5.0], 5.0, 5.0),
+            ([-3.0, -1.0, 4.0], 0.0, 1.0),
+        ):
+            s = SpatialScores.from_values(values)
+            assert (s.mean_s, s.abs_median_s) == (mean_s, abs_median_s)
+        with pytest.raises(ValueError):
+            SpatialScores.from_values([])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20),
+           st.randoms(use_true_random=False))
+    def test_from_values_permutation_invariant(self, values, rnd):
+        shuffled = list(values)
+        rnd.shuffle(shuffled)
+        a = SpatialScores.from_values(values)
+        b = SpatialScores.from_values(shuffled)
+        assert np.allclose([a.mean_s, a.abs_median_s], [b.mean_s, b.abs_median_s],
+                           rtol=1e-12, atol=1e-9)

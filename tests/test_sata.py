@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from satavit.harness import _naive_spatial_scores as naive_scores
 from satavit.moran import SpatialScores, spatial_scores
-from satavit.sata import bipartite_match, ffn_flops, sata_stage, split_tokens
+from satavit.sata import bipartite_match, ffn_flops, moran_weights, sata_stage, split_tokens
 from satavit.tensorops import row_softmax
 from satavit.vit import AttentionOutput, ModelConfig, ffn
 
@@ -113,6 +113,155 @@ class TestNaiveStageOracle:
             assert np.max(np.abs(got - want)) < 1e-9
 
 
+def loop_match(set_a, feats, metric="cosine"):
+    """Per-group matching as the stage computed it with one object per group.
+
+    Returns (edges, groups, representatives, residuals); groups are
+    ascending member arrays in a2 order, each with its row mean.
+    """
+    set_a = np.asarray(set_a, dtype=np.int64)
+    if set_a.size <= 1:
+        return {}, [], [], set_a.tolist()
+    a1, a2 = set_a[0::2], set_a[1::2]
+    f1, f2 = feats[a1], feats[a2]
+    if metric == "cosine":
+        def unit(f):
+            norms = np.linalg.norm(f, axis=1, keepdims=True)
+            return np.divide(f, norms, out=np.zeros_like(f), where=norms > 0)
+
+        sim = unit(f1) @ unit(f2).T
+        zero1 = np.all(f1 == 0.0, axis=1)
+        zero2 = np.all(f2 == 0.0, axis=1)
+        if zero1.any() and zero2.any():
+            sim[np.ix_(zero1, zero2)] = 1.0
+    else:
+        sim = f1 @ f2.T
+    choice = np.argmax(sim, axis=1)
+    edges = {int(src): int(a2[j]) for src, j in zip(a1, choice)}
+    sources_of = {}
+    for src, tgt in edges.items():
+        sources_of.setdefault(tgt, []).append(src)
+    groups, reps, residuals = [], [], []
+    for tgt in a2.tolist():
+        if tgt in sources_of:
+            members = np.sort(np.array([tgt] + sources_of[tgt], dtype=np.int64))
+            groups.append(members)
+            reps.append(feats[members].mean(axis=0))
+        else:
+            residuals.append(tgt)
+    return edges, groups, reps, residuals
+
+
+def loop_stage(x, attn, cfg, fw):
+    """The stage with a per-group gather and restore loop; returns (out, trace fields)."""
+    x = np.asarray(x, dtype=float)
+    n_all, d = x.shape
+    patches = x[1:]
+    scores = spatial_scores(
+        patches, moran_weights(attn, cfg), row_convention=cfg.moran_row_convention)
+    split = split_tokens(scores, cfg.alpha)
+    _, groups, reps, residuals = loop_match(split.set_a, patches, cfg.match_metric)
+    reps = np.stack(reps) if reps else np.zeros((0, d))
+    ffn_in = np.concatenate([x[:1], patches[split.set_b], reps], axis=0)
+    deltas = ffn(ffn_in, fw)
+    out = x.copy()
+    out[0] += deltas[0]
+    out[1 + split.set_b] += deltas[1 : 1 + split.set_b.size]
+    offset = 1 + split.set_b.size
+    for gi, members in enumerate(groups):
+        out[1 + members] += deltas[offset + gi]
+    fields = dict(
+        n_a=split.set_a.size, n_b=split.set_b.size, n_groups=len(groups),
+        n_residual=len(residuals), ffn_tokens=ffn_in.shape[0], s_snapshot=scores.s,
+        bounds=(split.lower, split.upper), ffn_flops=ffn_flops(ffn_in.shape[0], d, fw.w1.shape[1]),
+        mean_s=scores.mean_s, abs_median_s=scores.abs_median_s,
+        residual_indices=np.array(residuals, dtype=np.int64),
+        cls_attention=attn.mean_attention[0, 1:],
+    )
+    return out, fields
+
+
+def alpha_leaving_one_out(x, attn, cfg):
+    """An alpha whose band holds every patch token but the most extreme one."""
+    scores = spatial_scores(x[1:], moran_weights(attn, cfg), row_convention=cfg.moran_row_convention)
+    m, med = scores.mean_s, scores.abs_median_s
+    # token i is in band iff alpha >= need[i]
+    need = np.where(scores.s > 0, scores.s / (m + med), scores.s / (m - med))
+    top, second = np.sort(need)[::-1][:2]
+    return float(np.sqrt(top * second))
+
+
+class TestLoopReferenceBitwise:
+    """The array merge plan against the per-group loop, bit for bit."""
+
+    SHAPES = {
+        "8x32": dict(depth=8, dim=32, heads=4, patch=4, image=16),
+        "vit-ti": dict(depth=12, dim=192, heads=3, patch=16, image=224),
+    }
+
+    @staticmethod
+    def _features(rng, kind, n, d):
+        x = rng.normal(size=(n, d))
+        if kind == "ties":
+            # patches are power-of-two multiples of one row: their unit rows
+            # agree up to sign, so the cosine similarities tie exactly at +-1
+            scale = rng.choice([-4.0, -0.5, 0.25, 1.0, 2.0, 8.0], size=(n - 1, 1))
+            x[1:] = scale * rng.normal(size=d)
+        elif kind == "zero-rows":
+            x[1 + rng.permutation(n - 1)[: (n - 1) // 3]] = 0.0
+        return x
+
+    @pytest.mark.parametrize("shape", ["8x32", "vit-ti"])
+    @pytest.mark.parametrize("kind", ["normal", "ties", "zero-rows"])
+    def test_stage_output_and_trace(self, shape, kind):
+        rng = np.random.default_rng(501)
+        base = ModelConfig(**self.SHAPES[shape])
+        n, d = base.num_tokens, base.dim
+        fw = make_ffn_weights(rng, d, base.hidden)
+        seen_n_a = set()
+        for variant in (
+            dict(), dict(match_metric="dot"), dict(attention_reduce="max"),
+            dict(moran_row_convention=True), dict(alpha=0.3), dict(alpha=2.0),
+            dict(alpha=1e9), "one-out",
+        ):
+            x = self._features(rng, kind, n, d)
+            attn = make_attention(rng, base.heads, n)
+            if variant == "one-out":
+                variant = dict(alpha=alpha_leaving_one_out(x, attn, base))
+            cfg = base.with_overrides(**variant)
+            got, trace = sata_stage(x, attn, cfg, fw)
+            want, fields = loop_stage(x, attn, cfg, fw)
+            assert np.array_equal(got, want)
+            for name, value in fields.items():
+                assert np.array_equal(getattr(trace, name), value), name
+            seen_n_a.add(trace.n_a)
+        assert {0, 1} <= seen_n_a
+
+    def test_plans_on_crafted_sets(self):
+        rng = np.random.default_rng(502)
+        zero = np.zeros((8, 3))
+        zero[[3, 6]] = rng.normal(size=(2, 3))
+        tied = np.outer(rng.normal(size=8), rng.normal(size=3))
+        cases = [
+            (rng.normal(size=(8, 3)), [0, 2, 3, 5, 6, 7]),
+            (tied, list(range(8))),
+            (np.ones((8, 3)), [1, 2, 4, 5, 7]),
+            (zero, list(range(8))),
+            (rng.normal(size=(8, 3)), [6]),
+            (rng.normal(size=(8, 3)), []),
+        ]
+        for feats, set_a in cases:
+            for metric in ("cosine", "dot"):
+                plan = bipartite_match(set_a, feats, metric=metric)
+                edges, groups, reps, residuals = loop_match(set_a, feats, metric)
+                assert plan.edges == edges
+                assert plan.members.tolist() == [int(i) for g in groups for i in g]
+                assert plan.group_sizes.tolist() == [g.size for g in groups]
+                want = np.stack(reps) if reps else np.zeros((0, 3))
+                assert np.array_equal(plan.representatives, want)
+                assert plan.residuals.tolist() == residuals
+
+
 class TestSplitTokens:
     def test_hand_band(self):
         # mean 0, |median| = 0.1 -> band [-0.1, 0.1] keeps only index 2
@@ -166,22 +315,25 @@ class TestBipartiteMatch:
         assert plan.a1.tolist() == [0, 5]
         assert plan.a2.tolist() == [2, 7]
         assert plan.edges == {0: 2, 5: 2}
-        assert len(plan.groups) == 1
-        assert plan.groups[0].members.tolist() == [0, 2, 5]
+        assert plan.members.tolist() == [0, 2, 5]
+        assert plan.group_sizes.tolist() == [3]
         want = feats[[0, 2, 5]].mean(axis=0)
-        assert np.array_equal(plan.groups[0].representative, want)
+        assert np.array_equal(plan.representatives, want[None])
         assert plan.residuals.tolist() == [7]
 
     def test_empty_set(self):
         plan = bipartite_match([], np.zeros((4, 3)))
         assert plan.a1.size == 0 and plan.a2.size == 0
-        assert plan.edges == {} and plan.groups == [] and plan.residuals.size == 0
+        assert plan.edges == {} and plan.residuals.size == 0
+        assert plan.members.size == 0 and plan.group_sizes.size == 0
+        assert plan.representatives.shape == (0, 3)
 
     def test_singleton_becomes_residual(self):
         plan = bipartite_match([4], np.ones((6, 3)))
         assert plan.a1.size == 0
         assert plan.residuals.tolist() == [4]
-        assert plan.groups == []
+        assert plan.members.size == 0 and plan.group_sizes.size == 0
+        assert plan.representatives.shape == (0, 3)
 
     def test_tie_breaks_to_lowest_index(self):
         feats = np.ones((6, 3))  # every similarity identical
@@ -220,11 +372,10 @@ class TestBipartiteMatch:
             assert np.array_equal(np.sort(np.concatenate([plan.a1, plan.a2])), set_a)
             if set_a.size > 1:
                 assert set(plan.edges) == set(plan.a1.tolist())
-            covered = list(plan.residuals)
-            for g in plan.groups:
-                covered.extend(g.members.tolist())
-                assert np.max(np.abs(
-                    g.representative - feats[g.members].mean(axis=0))) < 1e-12
+            groups = np.split(plan.members, np.cumsum(plan.group_sizes)[:-1])
+            for rep, members in zip(plan.representatives, groups):
+                assert np.max(np.abs(rep - feats[members].mean(axis=0))) < 1e-12
+            covered = plan.residuals.tolist() + plan.members.tolist()
             assert sorted(covered) == sorted(set_a.tolist())
 
     def test_deterministic(self):
@@ -235,8 +386,8 @@ class TestBipartiteMatch:
         p2 = bipartite_match(set_a, feats)
         assert p1.edges == p2.edges
         assert p1.residuals.tolist() == p2.residuals.tolist()
-        assert [g.members.tolist() for g in p1.groups] == \
-               [g.members.tolist() for g in p2.groups]
+        assert p1.members.tolist() == p2.members.tolist()
+        assert p1.group_sizes.tolist() == p2.group_sizes.tolist()
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError, match="metric"):

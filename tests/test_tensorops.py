@@ -12,7 +12,6 @@ from satavit.tensorops import (
     cosine_similarity,
     gelu,
     layer_norm,
-    mean_std_median,
     row_softmax,
 )
 
@@ -161,35 +160,6 @@ class TestGelu:
         grid = np.linspace(-0.7, 50, 2000)[None, :]
         vals = gelu(grid)[0]
         assert np.all(np.diff(vals) >= 0)
-
-
-class TestMeanStdMedian:
-    def test_odd_vector(self):
-        m, s, med = mean_std_median([2, 4, 6])
-        assert m == 4.0 and med == 4.0
-        assert abs(s - 1.632993161855452) < 1e-12
-
-    def test_singleton(self):
-        assert mean_std_median([5.0]) == (5.0, 0.0, 5.0)
-
-    def test_even_length_median_rule(self):
-        m, s, med = mean_std_median([1, 2, 3, 4])
-        assert m == 2.5 and med == 2.5
-        assert abs(s - 1.118033988749895) < 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean_std_median([])
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20),
-           st.randoms(use_true_random=False))
-    def test_permutation_invariant(self, values, rnd):
-        shuffled = list(values)
-        rnd.shuffle(shuffled)
-        a = mean_std_median(values)
-        b = mean_std_median(shuffled)
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-9)
 
 
 class TestCosineSimilarity:
