@@ -14,6 +14,7 @@ from satavit.tensorops import (
     layer_norm,
     row_softmax,
 )
+from satavit.moran import SpatialScores
 
 # ---------------------------------------------------------------------------
 # textbook expressions: the kernels must equal these bit for bit
@@ -160,6 +161,33 @@ class TestGelu:
         grid = np.linspace(-0.7, 50, 2000)[None, :]
         vals = gelu(grid)[0]
         assert np.all(np.diff(vals) >= 0)
+
+
+class TestMeanStdMedian:
+    """The mean and median rules of the score summaries.
+
+    `SpatialScores.from_values` computes them (`mean_s`, `abs_median_s`);
+    no population std is computed for scores.
+    """
+
+    @staticmethod
+    def summaries(values):
+        s = SpatialScores.from_values(values)
+        return s.mean_s, s.abs_median_s
+
+    def test_odd_vector(self):
+        assert self.summaries([2, 4, 6]) == (4.0, 4.0)
+
+    def test_singleton(self):
+        assert self.summaries([5.0]) == (5.0, 5.0)
+
+    def test_even_length_median_rule(self):
+        # the median of an even-length vector is the mean of the two middle values
+        assert self.summaries([1, 2, 3, 4]) == (2.5, 2.5)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            SpatialScores.from_values([])
 
 
 class TestCosineSimilarity:
