@@ -7,11 +7,16 @@ score statistics with band bounds and FFN load, and alpha/gamma sweeps
 reporting FLOPs against logit drift.
 
 All CSV output is deterministic given seeds: UTF-8, LF line endings,
-floats formatted with %.9g, integers bare.
+floats formatted with %.9g, integers bare.  A report's forwards are
+independent; ``_map`` runs them on a thread pool where that pays (see
+``_workers``) and returns them in order, so every reduction sums in the
+serial order and the CSVs do not depend on the pool.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +27,7 @@ from .engine import classify, embed, forward, run_blocks
 from .modelio import Model, random_init
 from .moran import SpatialScores, spatial_scores
 from .rng import SplitMix64
-from .sata import bipartite_match, sata_stage, split_tokens
+from .sata import bipartite_match, ffn_flops, sata_stage, split_tokens
 from .tensorops import cosine_similarity, row_softmax
 from .vit import AttentionOutput, FfnWeights, ModelConfig, ffn
 
@@ -68,6 +73,45 @@ STATS_HEADER = [
 ] + [f"hist_{i}" for i in range(HIST_BINS)]
 SWEEP_HEADER = ["param_value", "total_flops", "logit_drift"]
 SELFTEST_HEADER = ["check", "cases", "max_abs_error", "status"]
+
+# 2-thread/serial time, averaged report, 2 CPUs: 1.28x at 9.6M (d96), 0.84-1.15x at 17M (d128)
+_POOL_MIN_FFN_FLOPS = 10_000_000
+
+
+# ---------------------------------------------------------------------------
+# independent forwards on a thread pool
+
+
+def _workers(cfg: ModelConfig) -> int:
+    """Threads for a report's independent forwards: the usable CPUs, or 1.
+
+    Numpy GEMMs, ``erf`` and the elementwise kernels release the GIL, so
+    forwards overlap on several cores, but only if BLAS runs each call
+    on the calling thread (otherwise the pool oversubscribes the CPUs)
+    and a block's FFN is large enough that the forward is not mostly
+    Python under the GIL.
+    """
+    blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    if blas != "1" or ffn_flops(cfg.num_tokens, cfg.dim, cfg.hidden) < _POOL_MIN_FFN_FLOPS:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map(fn, items, cfg: ModelConfig) -> list:
+    """``[fn(item) for item in items]``, on ``_workers(cfg)`` threads when above 1.
+
+    Results keep the order of ``items``, so callers reduce them in the
+    serial order and their sums are bitwise the same; the first task
+    exception reaches the caller.
+    """
+    workers = min(_workers(cfg), len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +311,12 @@ def _stability_records(clean_traces, corr_traces) -> list[StabilityRecord]:
     ]
 
 
+def _block_traces(model: Model, image, spec: CorruptionSpec | None, cfg):
+    """Block traces of one forward on ``image``, corrupted by ``spec`` unless None."""
+    x = image if spec is None else corrupt(image, spec)
+    return forward(x, model, cfg=cfg)[1]
+
+
 def stability_report(
     model: Model,
     image,
@@ -281,11 +331,10 @@ def stability_report(
     ``spec`` the clean image is compared to itself (all deltas exactly
     1) from a single forward.
     """
-    _, clean_traces = forward(image, model, cfg=cfg)
-    if spec is None:
-        corr_traces = clean_traces
-    else:
-        _, corr_traces = forward(corrupt(image, spec), model, cfg=cfg)
+    cfg = cfg if cfg is not None else model.config
+    specs = [None] if spec is None else [None, spec]
+    traces = _map(lambda sp: _block_traces(model, image, sp, cfg), specs, cfg)
+    clean_traces, corr_traces = traces[0], traces[-1]
     records = _stability_records(clean_traces, corr_traces)
     if out is not None:
         write_csv(
@@ -310,19 +359,23 @@ def averaged_stability_report(
     forward runs once and is compared with one corrupted forward per
     pair (21 forwards for the 20 pairs).
     """
-    pair_seeds = SplitMix64(seed).next_uint64(len(CORRUPTION_KINDS) * 5)
-    _, clean_traces = forward(image, model, cfg=cfg)
+    cfg = cfg if cfg is not None else model.config
+    pairs = [(kind, severity) for kind in CORRUPTION_KINDS for severity in range(1, 6)]
+    pair_seeds = SplitMix64(seed).next_uint64(len(pairs))
+    specs = [
+        CorruptionSpec(kind=kind, severity=severity, seed=int(pair_seed))
+        for (kind, severity), pair_seed in zip(pairs, pair_seeds)
+    ]
+    clean_traces, *corrupted = _map(
+        lambda sp: _block_traces(model, image, sp, cfg), [None, *specs], cfg
+    )
     sums_att = np.zeros(len(clean_traces))
     sums_sata = np.zeros(len(clean_traces))
-    count = 0
-    for kind in CORRUPTION_KINDS:
-        for severity in range(1, 6):
-            spec = CorruptionSpec(kind=kind, severity=severity, seed=int(pair_seeds[count]))
-            _, corr_traces = forward(corrupt(image, spec), model, cfg=cfg)
-            records = _stability_records(clean_traces, corr_traces)
-            sums_att += [r.delta_attention for r in records]
-            sums_sata += [r.delta_sata for r in records]
-            count += 1
+    for corr_traces in corrupted:  # summed in (kind, severity) order
+        records = _stability_records(clean_traces, corr_traces)
+        sums_att += [r.delta_attention for r in records]
+        sums_sata += [r.delta_sata for r in records]
+    count = len(corrupted)
     averaged = [
         StabilityRecord(i, float(sums_att[i] / count), float(sums_sata[i] / count))
         for i in range(len(sums_att))
@@ -358,8 +411,8 @@ def stats_report(model: Model, images, cfg: ModelConfig | None = None, out=None)
                     "ffn_tokens", "ffn_flops")
     }
     hists = np.zeros((depth, HIST_BINS), dtype=np.int64)
-    for image in images:
-        _, traces = forward(image, model, cfg=run_cfg)
+    per_image = _map(lambda image: forward(image, model, cfg=run_cfg)[1], images, run_cfg)
+    for traces in per_image:  # summed in image order
         for b, tr in enumerate(traces):
             acc["mean_s"][b] += tr.mean_s
             acc["abs_median_s"][b] += tr.abs_median_s
@@ -449,22 +502,34 @@ def sweep(
         for value in values
     ]
     starts = sorted({c.sata_start_block for c in run_cfgs})
-    baselines = [_stage_off_segments(model, img, baseline_cfg, starts) for img in images]
+    baselines = _map(
+        lambda img: _stage_off_segments(model, img, baseline_cfg, starts), images, base_cfg
+    )
 
-    records = []
-    for run_cfg in run_cfgs:
+    def run_tail(job):
+        """FFN FLOPs, logit drift and per-block FFN tokens of one (value, image)."""
+        run_cfg, (base_logits, base_traces, streams) = job
         start = run_cfg.sata_start_block
+        x, tail = run_blocks(streams[start], model, run_cfg, start, run_cfg.depth)
+        logits = classify(x, model)
+        traces = base_traces[:start] + tail
+        return (
+            sum(tr.ffn_flops for tr in traces),
+            float(np.linalg.norm(logits - base_logits)),
+            [tr.ffn_tokens for tr in traces],
+        )
+
+    tails = _map(run_tail, [(c, b) for c in run_cfgs for b in baselines], base_cfg)
+    n = len(images)
+    records = []
+    for k, run_cfg in enumerate(run_cfgs):
         flops_total = 0.0
         drift_total = 0.0
         tokens = np.zeros(run_cfg.depth)
-        for base_logits, base_traces, streams in baselines:
-            x, tail = run_blocks(streams[start], model, run_cfg, start, run_cfg.depth)
-            logits = classify(x, model)
-            traces = base_traces[:start] + tail
-            flops_total += sum(tr.ffn_flops for tr in traces)
-            drift_total += float(np.linalg.norm(logits - base_logits))
-            tokens += [tr.ffn_tokens for tr in traces]
-        n = len(images)
+        for flops, drift, block_tokens in tails[k * n : (k + 1) * n]:  # in image order
+            flops_total += flops
+            drift_total += drift
+            tokens += block_tokens
         records.append(
             SweepRecord(
                 param=param,

@@ -245,9 +245,13 @@ def load_model(path) -> Model:
                 f"outside the {len(blob)}-byte blob"
             )
         spans.append((start, end, name))
-        params[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=start).reshape(
-            shape
-        ).copy()
+        # a read-only view into the one blob (no kernel writes to a param); a
+        # tensor at an offset off the 8-byte grid is copied once to aligned memory
+        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start).reshape(shape)
+        if not arr.flags.aligned:
+            arr = arr.copy()
+            arr.flags.writeable = False
+        params[name] = arr
     if entries:
         raise SchemaError(
             f"{manifest_path}: manifest lists unknown tensors {sorted(entries)}"

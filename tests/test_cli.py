@@ -4,7 +4,16 @@ import json
 
 import pytest
 
-from satavit import ModelConfig, cli, forward, load_model, random_image, write_raw_image
+from satavit import (
+    ModelConfig,
+    cli,
+    forward,
+    harness,
+    load_model,
+    random_image,
+    write_raw_image,
+)
+from satavit.sata import ffn_flops
 
 from conftest import run_cli
 
@@ -282,3 +291,54 @@ class TestFlopsReport:
         assert err == (f"ffn_flops_total: {total}\n"
                        f"ffn_flops_vanilla: {vanilla}\n"
                        f"ratio: {format(total / vanilla, '.9g')}\n")
+
+
+# one block's full FFN is 17M FLOPs: reports go on the thread pool at 1 BLAS thread
+POOL_CONFIG = {"depth": 2, "dim": 128, "heads": 4, "patch": 4, "image": 32,
+               "num_classes": 4, "gamma": 0.5, "alpha": 1.0}
+
+
+@pytest.fixture(scope="module")
+def pool_model_path(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pool")
+    cfg_path = root / "config.json"
+    cfg_path.write_text(json.dumps(POOL_CONFIG))
+    stem = root / "model"
+    res = run_cli("init", "--model", stem, "--config", cfg_path, "--seed", 3)
+    assert res.returncode == 0, res.stderr
+    return stem
+
+
+class TestParallelReports:
+    def test_stdout_identical_with_blas_pinned_and_not(self, pool_model_path, tmp_path,
+                                                       monkeypatch):
+        cfg = ModelConfig(**POOL_CONFIG)
+        assert ffn_flops(cfg.num_tokens, cfg.dim, cfg.hidden) >= harness._POOL_MIN_FFN_FLOPS
+        image_flags = []
+        for seed in (1, 2, 3):
+            write_raw_image(random_image(cfg, seed), tmp_path / f"img{seed}.raw")
+            image_flags += ["--image", tmp_path / f"img{seed}.raw"]
+        outputs = {}
+        for threads in ("1", "2"):  # the pool runs at 1 BLAS thread only
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            runs = [
+                run_cli("stability", "--model", pool_model_path, "--average", "--seed", 4),
+                run_cli("stats", "--model", pool_model_path, *image_flags),
+            ]
+            for res in runs:
+                assert res.returncode == 0, res.stderr
+            outputs[threads] = [res.stdout for res in runs]
+        assert outputs["1"] == outputs["2"]
+        assert outputs["1"][0].startswith("block,delta_attention,delta_sata\n")
+
+    def test_task_error_exits_two(self, pool_model_path, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise FloatingPointError("block 0 gelu produced non-finite entries")
+
+        monkeypatch.setattr(harness, "forward", failing)
+        monkeypatch.setattr(harness, "_workers", lambda cfg: 2)
+        code, _, err = main_in_process(capsys, "stability", "--model", pool_model_path,
+                                       "--average")
+        assert code == 2
+        assert "gelu produced non-finite entries" in err
+        assert "Traceback" not in err

@@ -1,7 +1,10 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
-from satavit import ModelConfig, engine, random_init
+from satavit import ModelConfig, engine, harness, random_init
 from satavit.engine import forward
 from satavit.harness import (
     CORRUPTION_KINDS,
@@ -267,6 +270,100 @@ class TestBlockEvaluations:
         starts = [CFG.with_overrides(gamma=g).sata_start_block for g in GAMMAS]
         assert starts == [0, 1, 2, 3, 4, 4]
         assert len(block_evals) == CFG.depth + sum(CFG.depth - s for s in starts)
+
+
+# ---------------------------------------------------------------------------
+# reports on a thread pool
+
+# one block's full FFN is 17M FLOPs, above the pool threshold
+POOL_CFG = ModelConfig(depth=3, dim=128, heads=4, patch=4, image=32, num_classes=4,
+                       gamma=0.4, alpha=1.0)
+
+
+@pytest.fixture(scope="module")
+def pool_model():
+    return random_init(POOL_CFG, seed=8)
+
+
+def report_csvs(model) -> dict[str, str]:
+    """Every report's CSV on POOL_CFG inputs, with the sweep's per-block tokens."""
+    images = [random_image(POOL_CFG, seed) for seed in (1, 2, 3)]
+
+    def stability_csv(records):
+        return render_csv(STABILITY_HEADER,
+                          [[r.block_index, r.delta_attention, r.delta_sata] for r in records])
+
+    def sweep_csv(records):
+        rows = [[r.value, r.total_flops, r.logit_drift] for r in records]
+        return render_csv(SWEEP_HEADER, rows) + repr([r.ffn_tokens_per_block for r in records])
+
+    return {
+        "averaged": stability_csv(averaged_stability_report(model, images[0], seed=4)),
+        "stability": stability_csv(
+            stability_report(model, images[0], CorruptionSpec("box_blur", 2, seed=3))),
+        "stats": render_csv(STATS_HEADER, stats_report(model, images)),
+        "alpha": sweep_csv(sweep(model, images[:2], "alpha", [0.5, 1.0, 2.0])),
+        "gamma": sweep_csv(sweep(model, images[:2], "gamma", [0.0, 0.5, 1.0])),
+    }
+
+
+class TestThreadPool:
+    def test_reports_byte_identical_on_and_off_the_pool(self, pool_model, monkeypatch):
+        threads = set()
+        original = harness.forward
+
+        def recorded(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "forward", recorded)
+        monkeypatch.setattr(harness, "_workers", lambda cfg: 1)
+        serial = report_csvs(pool_model)
+        assert threads == {threading.get_ident()}
+        monkeypatch.setattr(harness, "_workers", lambda cfg: 2)
+        pooled = report_csvs(pool_model)
+        assert len(threads) > 1  # the pool ran forwards off the main thread
+        assert pooled == serial
+
+    def test_task_error_reaches_the_caller(self, pool_model, monkeypatch):
+        original = harness.forward
+        calls = []
+
+        def failing(image, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 5:
+                raise FloatingPointError("block 2 ffn produced non-finite entries")
+            return original(image, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "forward", failing)
+        monkeypatch.setattr(harness, "_workers", lambda cfg: 2)
+        image = random_image(POOL_CFG, 1)
+        with pytest.raises(FloatingPointError, match="block 2 ffn produced non-finite"):
+            averaged_stability_report(pool_model, image, seed=0)
+
+
+class TestWorkers:
+    CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+    @pytest.mark.parametrize("openblas,omp,want", [
+        ("1", None, "cpus"),
+        ("4", None, 1),
+        ("4", "1", 1),  # OPENBLAS_NUM_THREADS takes precedence
+        (None, None, 1),
+        (None, "1", "cpus"),
+        (None, "2", 1),
+    ])
+    def test_blas_thread_rule(self, monkeypatch, openblas, omp, want):
+        for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+            if value is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, value)
+        assert harness._workers(POOL_CFG) == (self.CPUS if want == "cpus" else want)
+
+    def test_small_model_stays_serial(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert harness._workers(ModelConfig(depth=8, dim=32, heads=4)) == 1
 
 
 class TestStatsReport:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -104,6 +105,32 @@ class TestSaveLoad:
         for name in model.params:
             assert np.array_equal(loaded.params[name], model.params[name]), name
         assert model_checksum(loaded) == model_checksum(model)
+
+    def test_params_are_read_only_and_bitwise_equal(self, tmp_path):
+        model = random_init(CFG, 11)
+        save_model(model, tmp_path / "m")
+        loaded = load_model(tmp_path / "m")
+        for name, arr in loaded.params.items():
+            assert not arr.flags.writeable, name
+            assert arr.tobytes() == model.params[name].tobytes(), name
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.params["block0.ffn.w1"][0, 0] = 1.0
+
+    def test_offsets_off_the_8_byte_grid_load_the_same_values(self, tmp_path):
+        model = random_init(CFG, 11)
+        save_model(model, tmp_path / "m")
+        manifest = json.loads((tmp_path / "m.manifest.json").read_text())
+        # three pad bytes put every tensor at an odd offset
+        blob = b"pad" + (tmp_path / "m.weights.bin").read_bytes()
+        for entry in manifest["tensors"]:
+            entry["offset"] += 3
+        manifest["checksum"] = hashlib.blake2b(blob, digest_size=8).hexdigest()
+        (tmp_path / "m.weights.bin").write_bytes(blob)
+        (tmp_path / "m.manifest.json").write_text(json.dumps(manifest))
+        loaded = load_model(tmp_path / "m")
+        for name, arr in loaded.params.items():
+            assert arr.flags.aligned and not arr.flags.writeable, name
+            assert arr.tobytes() == model.params[name].tobytes(), name
 
     def test_stem_resolution(self, tmp_path):
         model = random_init(CFG, 11)
