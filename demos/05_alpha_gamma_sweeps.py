@@ -7,23 +7,23 @@ against the stage-off baseline.  CSVs land in the current directory.
 """
 
 from satavit import ModelConfig, random_image, random_init, sweep
+from satavit.harness import SWEEP_HEADER, write_csv
 
 cfg = ModelConfig(depth=8, dim=32, heads=4, patch=4, image=16, num_classes=10)
 model = random_init(cfg, seed=13)
 images = [random_image(cfg, seed=100 + i) for i in range(5)]
 
-print("alpha sweep (gamma fixed at 0.7):")
-print("value      mean_ffn_flops   logit_drift")
-for rec in sweep(model, images, "alpha", [0.5, 0.75, 1.0, 1.5, 2.0, 1e9],
-                 out="sweep_alpha.csv"):
-    print(f"{rec.value:<10g} {rec.total_flops:>14.0f} {rec.logit_drift:>13.6f}")
+for param, values, fixed in (("alpha", [0.5, 0.75, 1.0, 1.5, 2.0, 1e9], "gamma fixed at 0.7"),
+                             ("gamma", [0.0, 0.25, 0.5, 0.7, 0.9, 1.0], "alpha fixed at 1.0")):
+    records = sweep(model, images, param, values)
+    print(f"{param} sweep ({fixed}):")
+    print("value      mean_ffn_flops   logit_drift")
+    for rec in records:
+        print(f"{rec.value:<10g} {rec.total_flops:>14.0f} {rec.logit_drift:>13.6f}")
+    print()
+    write_csv(f"sweep_{param}.csv", SWEEP_HEADER,
+              [[r.value, r.total_flops, r.logit_drift] for r in records])
 
-print("\ngamma sweep (alpha fixed at 1.0):")
-print("value      mean_ffn_flops   logit_drift")
-for rec in sweep(model, images, "gamma", [0.0, 0.25, 0.5, 0.7, 0.9, 1.0],
-                 out="sweep_gamma.csv"):
-    print(f"{rec.value:<10g} {rec.total_flops:>14.0f} {rec.logit_drift:>13.6f}")
-
-print("\nwrote sweep_alpha.csv and sweep_gamma.csv")
+print("wrote sweep_alpha.csv and sweep_gamma.csv")
 print("A band-covering alpha (1e9) or gamma = 1.0 reproduces the baseline")
 print("exactly: drift 0, full FLOPs. Tighter bands trade drift for load.")

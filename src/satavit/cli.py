@@ -114,6 +114,12 @@ def _overrides(cfg: ModelConfig, args) -> ModelConfig:
     return cfg.with_overrides(**overrides) if overrides else cfg
 
 
+def _load_run(args) -> tuple[modelio.Model, ModelConfig]:
+    """The model at --model and its config with the run flags applied."""
+    model = modelio.load_model(args.model)
+    return model, _overrides(model.config, args)
+
+
 def _load_images(args, cfg: ModelConfig, at_most_one: bool = False) -> list[np.ndarray]:
     if args.image:
         if at_most_one and len(args.image) > 1:
@@ -143,8 +149,7 @@ def _cmd_init(args) -> int:
 
 
 def _cmd_forward(args) -> int:
-    model = modelio.load_model(args.model)
-    cfg = _overrides(model.config, args)
+    model, cfg = _load_run(args)
     image = _load_images(args, cfg, at_most_one=True)[0]
     logits, traces = forward(image, model, cfg=cfg)
     print("logits: " + " ".join(format(v, ".9g") for v in logits))
@@ -157,16 +162,14 @@ def _cmd_forward(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    model = modelio.load_model(args.model)
-    cfg = _overrides(model.config, args)
+    model, cfg = _load_run(args)
     rows = harness.stats_report(model, _load_images(args, cfg), cfg=cfg)
     _emit(args.out, harness.STATS_HEADER, rows)
     return 0
 
 
 def _cmd_stability(args) -> int:
-    model = modelio.load_model(args.model)
-    cfg = _overrides(model.config, args)
+    model, cfg = _load_run(args)
     image = _load_images(args, cfg, at_most_one=True)[0]
     if args.average:
         records = harness.averaged_stability_report(model, image, args.seed, cfg=cfg)
@@ -189,8 +192,7 @@ def _cmd_sweep(args) -> int:
         return _usage_error("sweep", "--values must be comma-separated numbers")
     if not values:
         return _usage_error("sweep", "--values is empty")
-    model = modelio.load_model(args.model)
-    cfg = _overrides(model.config, args)
+    model, cfg = _load_run(args)
     records = harness.sweep(model, _load_images(args, cfg), args.param, values, cfg=cfg)
     rows = [[r.value, r.total_flops, r.logit_drift] for r in records]
     _emit(args.out, harness.SWEEP_HEADER, rows)
@@ -198,8 +200,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_flops(args) -> int:
-    model = modelio.load_model(args.model)
-    cfg = _overrides(model.config, args)
+    model, cfg = _load_run(args)
     image = _load_images(args, cfg, at_most_one=True)[0]
     _, traces = forward(image, model, cfg=cfg)
     rows = [[tr.block_index, tr.ffn_tokens, tr.ffn_flops] for tr in traces]
@@ -215,10 +216,9 @@ def _cmd_flops(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    rows, ok = harness.selftest(args.seed, out=args.out)
-    if args.out is None:
-        sys.stdout.write(harness.render_csv(harness.SELFTEST_HEADER, rows))
-    else:
+    rows, ok = harness.selftest(args.seed)
+    _emit(args.out, harness.SELFTEST_HEADER, rows)
+    if args.out is not None:
         print(f"selftest: {'pass' if ok else 'FAIL'} ({len(rows)} checks)")
     return 0 if ok else 2
 

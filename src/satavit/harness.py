@@ -6,11 +6,13 @@ the class-token attention row and the spatial score vector), per-block
 score statistics with band bounds and FFN load, and alpha/gamma sweeps
 reporting FLOPs against logit drift.
 
-All CSV output is deterministic given seeds: UTF-8, LF line endings,
-floats formatted with %.9g, integers bare.  A report's forwards are
-independent; ``_map`` runs them on a thread pool where that pays (see
-``_workers``) and returns them in order, so every reduction sums in the
-serial order and the CSVs do not depend on the pool.
+Reports return records or rows and write nothing; ``write_csv`` and
+``render_csv`` turn rows into CSV, deterministic given seeds: UTF-8,
+LF line endings, floats formatted with %.9g, integers bare.  A
+report's forwards are independent; ``_map`` runs them on a thread pool
+where that pays (see ``_workers``) and returns them in order, so every
+reduction sums in the serial order and the CSVs do not depend on the
+pool.
 """
 
 from __future__ import annotations
@@ -60,17 +62,11 @@ HIST_BINS = 32
 HIST_RANGE = (-5.0, 5.0)
 
 STABILITY_HEADER = ["block", "delta_attention", "delta_sata"]
-STATS_HEADER = [
-    "block",
-    "mean_s",
-    "abs_median_s",
-    "lower",
-    "upper",
-    "n_a",
-    "n_b",
-    "ffn_tokens",
-    "ffn_flops",
-] + [f"hist_{i}" for i in range(HIST_BINS)]
+# stats_report's scalar columns, in the order it sums them
+_STATS_COLUMNS = [
+    "mean_s", "abs_median_s", "lower", "upper", "n_a", "n_b", "ffn_tokens", "ffn_flops"
+]
+STATS_HEADER = ["block", *_STATS_COLUMNS] + [f"hist_{i}" for i in range(HIST_BINS)]
 SWEEP_HEADER = ["param_value", "total_flops", "logit_drift"]
 SELFTEST_HEADER = ["check", "cases", "max_abs_error", "status"]
 
@@ -211,31 +207,49 @@ def _read_netpbm(path: Path) -> np.ndarray:
             raise ValueError(f"{path}: truncated netpbm header")
         return data[start:pos]
 
+    def header_field(name: str) -> int:
+        raw = token()
+        if not raw.isdigit() or int(raw) == 0:
+            raise ValueError(
+                f"{path}: netpbm {name} must be a positive integer, got "
+                f"{raw.decode('ascii', 'replace')!r}"
+            )
+        return int(raw)
+
     magic = token().decode("ascii", "replace")
     if magic not in ("P2", "P3", "P5", "P6"):
         raise ValueError(f"{path}: unsupported netpbm magic {magic!r}")
-    width = int(token())
-    height = int(token())
-    maxval = int(token())
-    if maxval <= 0:
-        raise ValueError(f"{path}: invalid maxval {maxval}")
+    width = header_field("width")
+    height = header_field("height")
+    maxval = header_field("maxval")
     channels = 3 if magic in ("P3", "P6") else 1
     count = width * height * channels
 
     if magic in ("P5", "P6"):
         pos += 1  # single whitespace after maxval
-        if maxval < 256:
-            raw = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
-        else:
-            raw = np.frombuffer(data, dtype=">u2", count=count, offset=pos)
+        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+        body = len(data) - pos
+        if body < count * dtype.itemsize:
+            raise ValueError(
+                f"{path}: netpbm body holds {max(body, 0)} bytes, expected "
+                f"{count * dtype.itemsize} for {width}x{height}x{channels} samples"
+            )
+        raw = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
     else:
-        values = data[pos:].split()
+        values = data[pos:].split()[:count]
         if len(values) < count:
             raise ValueError(f"{path}: expected {count} samples, found {len(values)}")
-        raw = np.array([int(v) for v in values[:count]], dtype=np.float64)
+        bad = next((v for v in values if not v.isdigit()), None)
+        if bad is not None:
+            raise ValueError(
+                f"{path}: netpbm sample {bad.decode('ascii', 'replace')!r} is not a "
+                "non-negative integer"
+            )
+        raw = np.array([int(v) for v in values], dtype=np.float64)
 
-    img = raw.astype(np.float64).reshape(height, width, channels) / float(maxval)
-    return img
+    if raw.max() > maxval:
+        raise ValueError(f"{path}: netpbm sample {int(raw.max())} exceeds maxval {maxval}")
+    return raw.astype(np.float64).reshape(height, width, channels) / float(maxval)
 
 
 def load_image(path, cfg: ModelConfig) -> np.ndarray:
@@ -300,21 +314,36 @@ class StabilityRecord:
     delta_sata: float
 
 
-def _stability_records(clean_traces, corr_traces) -> list[StabilityRecord]:
-    return [
-        StabilityRecord(
-            block_index=tc.block_index,
-            delta_attention=cosine_similarity(tc.cls_attention, tx.cls_attention),
-            delta_sata=cosine_similarity(tc.s_snapshot, tx.s_snapshot),
-        )
-        for tc, tx in zip(clean_traces, corr_traces)
-    ]
-
-
 def _block_traces(model: Model, image, spec: CorruptionSpec | None, cfg):
     """Block traces of one forward on ``image``, corrupted by ``spec`` unless None."""
     x = image if spec is None else corrupt(image, spec)
     return forward(x, model, cfg=cfg)[1]
+
+
+def _stability(model: Model, image, specs, cfg: ModelConfig) -> list[StabilityRecord]:
+    """Per-block clean-vs-corrupted cosines, averaged over ``specs`` in their order.
+
+    The clean forward runs once, plus one forward per spec.  The sum
+    starts from the first spec's deltas, so a single spec's report is
+    its cosines bit for bit (a -0.0 keeps its sign).  Without specs the
+    clean traces are compared with themselves.
+    """
+    clean, *corrupted = _map(
+        lambda sp: _block_traces(model, image, sp, cfg), [None, *specs], cfg
+    )
+    deltas = [
+        np.array([
+            (cosine_similarity(c.cls_attention, x.cls_attention),
+             cosine_similarity(c.s_snapshot, x.s_snapshot))
+            for c, x in zip(clean, traces)
+        ])
+        for traces in corrupted or [clean]
+    ]
+    mean = sum(deltas[1:], deltas[0]) / len(deltas)
+    return [
+        StabilityRecord(tr.block_index, float(att), float(sata))
+        for tr, (att, sata) in zip(clean, mean)
+    ]
 
 
 def stability_report(
@@ -322,7 +351,6 @@ def stability_report(
     image,
     spec: CorruptionSpec | None,
     cfg: ModelConfig | None = None,
-    out=None,
 ) -> list[StabilityRecord]:
     """Per-block clean-vs-corrupted cosine similarities.
 
@@ -332,17 +360,7 @@ def stability_report(
     1) from a single forward.
     """
     cfg = cfg if cfg is not None else model.config
-    specs = [None] if spec is None else [None, spec]
-    traces = _map(lambda sp: _block_traces(model, image, sp, cfg), specs, cfg)
-    clean_traces, corr_traces = traces[0], traces[-1]
-    records = _stability_records(clean_traces, corr_traces)
-    if out is not None:
-        write_csv(
-            out,
-            STABILITY_HEADER,
-            [[r.block_index, r.delta_attention, r.delta_sata] for r in records],
-        )
-    return records
+    return _stability(model, image, [] if spec is None else [spec], cfg)
 
 
 def averaged_stability_report(
@@ -350,7 +368,6 @@ def averaged_stability_report(
     image,
     seed: int,
     cfg: ModelConfig | None = None,
-    out=None,
 ) -> list[StabilityRecord]:
     """Stability deltas averaged uniformly over every (kind, severity) pair.
 
@@ -366,34 +383,14 @@ def averaged_stability_report(
         CorruptionSpec(kind=kind, severity=severity, seed=int(pair_seed))
         for (kind, severity), pair_seed in zip(pairs, pair_seeds)
     ]
-    clean_traces, *corrupted = _map(
-        lambda sp: _block_traces(model, image, sp, cfg), [None, *specs], cfg
-    )
-    sums_att = np.zeros(len(clean_traces))
-    sums_sata = np.zeros(len(clean_traces))
-    for corr_traces in corrupted:  # summed in (kind, severity) order
-        records = _stability_records(clean_traces, corr_traces)
-        sums_att += [r.delta_attention for r in records]
-        sums_sata += [r.delta_sata for r in records]
-    count = len(corrupted)
-    averaged = [
-        StabilityRecord(i, float(sums_att[i] / count), float(sums_sata[i] / count))
-        for i in range(len(sums_att))
-    ]
-    if out is not None:
-        write_csv(
-            out,
-            STABILITY_HEADER,
-            [[r.block_index, r.delta_attention, r.delta_sata] for r in averaged],
-        )
-    return averaged
+    return _stability(model, image, specs, cfg)
 
 
 # ---------------------------------------------------------------------------
 # score statistics
 
 
-def stats_report(model: Model, images, cfg: ModelConfig | None = None, out=None):
+def stats_report(model: Model, images, cfg: ModelConfig | None = None) -> list[list]:
     """Per-block score statistics over an image batch.
 
     Scalar columns are averaged across the batch; the 32-bin histogram
@@ -405,37 +402,21 @@ def stats_report(model: Model, images, cfg: ModelConfig | None = None, out=None)
         raise ValueError("stats_report needs at least one image")
     run_cfg = cfg if cfg is not None else model.config
     depth = run_cfg.depth
-    acc = {
-        key: np.zeros(depth)
-        for key in ("mean_s", "abs_median_s", "lower", "upper", "n_a", "n_b",
-                    "ffn_tokens", "ffn_flops")
-    }
+    sums = np.zeros((depth, len(_STATS_COLUMNS)))
     hists = np.zeros((depth, HIST_BINS), dtype=np.int64)
     per_image = _map(lambda image: forward(image, model, cfg=run_cfg)[1], images, run_cfg)
     for traces in per_image:  # summed in image order
+        sums += [
+            [tr.mean_s, tr.abs_median_s, *tr.bounds, tr.n_a, tr.n_b, tr.ffn_tokens,
+             tr.ffn_flops]
+            for tr in traces
+        ]
         for b, tr in enumerate(traces):
-            acc["mean_s"][b] += tr.mean_s
-            acc["abs_median_s"][b] += tr.abs_median_s
-            acc["lower"][b] += tr.bounds[0]
-            acc["upper"][b] += tr.bounds[1]
-            acc["n_a"][b] += tr.n_a
-            acc["n_b"][b] += tr.n_b
-            acc["ffn_tokens"][b] += tr.ffn_tokens
-            acc["ffn_flops"][b] += tr.ffn_flops
             clipped = np.clip(tr.s_snapshot, HIST_RANGE[0], HIST_RANGE[1])
             counts, _ = np.histogram(clipped, bins=HIST_BINS, range=HIST_RANGE)
             hists[b] += counts
-    n = len(images)
-    rows = []
-    for b in range(depth):
-        row = [b] + [float(acc[key][b] / n) for key in
-                     ("mean_s", "abs_median_s", "lower", "upper", "n_a", "n_b",
-                      "ffn_tokens", "ffn_flops")]
-        row += [int(c) for c in hists[b]]
-        rows.append(row)
-    if out is not None:
-        write_csv(out, STATS_HEADER, rows)
-    return rows
+    means = sums / len(images)
+    return [[b, *means[b].tolist(), *hists[b].tolist()] for b in range(depth)]
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +456,6 @@ def sweep(
     param: str,
     values,
     cfg: ModelConfig | None = None,
-    out=None,
 ) -> list[SweepRecord]:
     """Run the stage across a list of alpha or gamma values.
 
@@ -538,12 +518,6 @@ def sweep(
                 logit_drift=drift_total / n,
                 ffn_tokens_per_block=tuple(tokens / n),
             )
-        )
-    if out is not None:
-        write_csv(
-            out,
-            SWEEP_HEADER,
-            [[r.value, r.total_flops, r.logit_drift] for r in records],
         )
     return records
 
@@ -712,7 +686,7 @@ _SELFTEST_CHECKS = [
 ]
 
 
-def selftest(seed: int = 0, out=None) -> tuple[list[list], bool]:
+def selftest(seed: int = 0) -> tuple[list[list], bool]:
     """Run the built-in oracle suites; returns (rows, all_passed)."""
     rows = []
     all_ok = True
@@ -722,6 +696,4 @@ def selftest(seed: int = 0, out=None) -> tuple[list[list], bool]:
         ok = err <= tol
         all_ok &= ok
         rows.append([name, cases, err, "pass" if ok else "fail"])
-    if out is not None:
-        write_csv(out, SELFTEST_HEADER, rows)
     return rows, all_ok

@@ -8,7 +8,7 @@ provides the per-layer math.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from numbers import Integral, Real
 from typing import Optional
 
@@ -136,22 +136,7 @@ class ModelConfig:
         return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "dim": self.dim,
-            "heads": self.heads,
-            "ffn_ratio": self.ffn_ratio,
-            "patch": self.patch,
-            "image": self.image,
-            "num_classes": self.num_classes,
-            "channels": self.channels,
-            "gamma": self.gamma,
-            "alpha": self.alpha,
-            "sata_enabled": self.sata_enabled,
-            "attention_reduce": self.attention_reduce,
-            "match_metric": self.match_metric,
-            "moran_row_convention": self.moran_row_convention,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":

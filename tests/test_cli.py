@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from satavit import (
@@ -11,6 +12,8 @@ from satavit import (
     harness,
     load_model,
     random_image,
+    random_init,
+    save_model,
     write_raw_image,
 )
 from satavit.sata import ffn_flops
@@ -291,6 +294,39 @@ class TestFlopsReport:
         assert err == (f"ffn_flops_total: {total}\n"
                        f"ffn_flops_vanilla: {vanilla}\n"
                        f"ratio: {format(total / vanilla, '.9g')}\n")
+
+
+class TestImageInput:
+    @pytest.mark.parametrize("body,field", [
+        (b"P2 8 8 3\n" + b"9 " * 64, "exceeds maxval"),
+        (b"P2 -4 8 3\n" + b"1 " * 64, "width"),
+        (b"P2 abc 8 3\n" + b"1 " * 64, "width"),
+        (b"P2 8 8 3\n" + b"1 2.5 " * 32, "sample '2.5'"),
+        (b"P5\n8 8\n255\n" + bytes(10), "body"),
+    ], ids=["sample-above-maxval", "negative-width", "non-integer-width",
+            "non-integer-sample", "truncated-p5-body"])
+    def test_bad_netpbm_exits_two_naming_file_and_field(self, capsys, model_path, tmp_path,
+                                                        body, field):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(body)
+        code, _, err = main_in_process(capsys, "forward", "--model", model_path,
+                                       "--image", path)
+        assert code == 2
+        assert str(path) in err
+        assert field in err
+        assert "Traceback" not in err
+
+    def test_overflowing_raw_image_exits_two(self, capsys, tmp_path):
+        cfg = ModelConfig()  # 16 values per patch: the first LayerNorm overflows
+        save_model(random_init(cfg, seed=0), tmp_path / "m")
+        path = tmp_path / "huge.f64"
+        write_raw_image(np.full((cfg.image, cfg.image, cfg.channels), 1e308), path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = main_in_process(capsys, "forward", "--model", tmp_path / "m",
+                                           "--image", path)
+        assert code == 2
+        assert "non-finite" in err
+        assert "Traceback" not in err
 
 
 # one block's full FFN is 17M FLOPs: reports go on the thread pool at 1 BLAS thread

@@ -8,6 +8,7 @@ from satavit import ModelConfig, engine, harness, random_init
 from satavit.engine import forward
 from satavit.harness import (
     CORRUPTION_KINDS,
+    SELFTEST_HEADER,
     STABILITY_HEADER,
     STATS_HEADER,
     SWEEP_HEADER,
@@ -21,6 +22,7 @@ from satavit.harness import (
     stability_report,
     stats_report,
     sweep,
+    write_csv,
     write_raw_image,
 )
 from satavit.rng import SplitMix64
@@ -130,8 +132,8 @@ class TestStability:
     def test_csv_schema_and_determinism(self, model, image, tmp_path):
         spec = CorruptionSpec("box_blur", 2, seed=4)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        stability_report(model, image, spec, out=p1)
-        stability_report(model, image, spec, out=p2)
+        for path in (p1, p2):
+            write_csv(path, STABILITY_HEADER, stability_rows(stability_report(model, image, spec)))
         text = p1.read_text(encoding="utf-8")
         assert text.splitlines()[0] == ",".join(STABILITY_HEADER)
         assert p1.read_bytes() == p2.read_bytes()
@@ -143,6 +145,10 @@ class TestStability:
         for r in records:
             assert -1.0 <= r.delta_attention <= 1.0
             assert -1.0 <= r.delta_sata <= 1.0
+
+
+def stability_rows(records) -> list[list]:
+    return [[r.block_index, r.delta_attention, r.delta_sata] for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +175,42 @@ def reference_averaged_stability(model, image, seed, cfg=None) -> list[list]:
             count += 1
     return [[i, float(sums_att[i] / count), float(sums_sata[i] / count)]
             for i in range(len(sums_att))]
+
+
+def reference_stability(model, image, spec, cfg=None) -> list[list]:
+    """One clean and one corrupted forward (the clean image again without a spec)."""
+    _, clean = forward(image, model, cfg=cfg)
+    _, corr = forward(image if spec is None else corrupt(image, spec), model, cfg=cfg)
+    return [[c.block_index,
+             cosine_similarity(c.cls_attention, x.cls_attention),
+             cosine_similarity(c.s_snapshot, x.s_snapshot)]
+            for c, x in zip(clean, corr)]
+
+
+def reference_stats(model, images, cfg=None) -> list[list]:
+    """One forward per image; each scalar column sums in its own array, in image order."""
+    run_cfg = cfg if cfg is not None else model.config
+    depth = run_cfg.depth
+    keys = ("mean_s", "abs_median_s", "lower", "upper", "n_a", "n_b", "ffn_tokens", "ffn_flops")
+    acc = {key: np.zeros(depth) for key in keys}
+    hists = np.zeros((depth, harness.HIST_BINS), dtype=np.int64)
+    for image in images:
+        _, traces = forward(image, model, cfg=run_cfg)
+        for b, tr in enumerate(traces):
+            acc["mean_s"][b] += tr.mean_s
+            acc["abs_median_s"][b] += tr.abs_median_s
+            acc["lower"][b] += tr.bounds[0]
+            acc["upper"][b] += tr.bounds[1]
+            acc["n_a"][b] += tr.n_a
+            acc["n_b"][b] += tr.n_b
+            acc["ffn_tokens"][b] += tr.ffn_tokens
+            acc["ffn_flops"][b] += tr.ffn_flops
+            clipped = np.clip(tr.s_snapshot, *harness.HIST_RANGE)
+            counts, _ = np.histogram(clipped, bins=harness.HIST_BINS, range=harness.HIST_RANGE)
+            hists[b] += counts
+    n = len(images)
+    return [[b] + [float(acc[key][b] / n) for key in keys] + [int(c) for c in hists[b]]
+            for b in range(depth)]
 
 
 def reference_sweep(model, images, param, values, cfg=None):
@@ -199,12 +241,30 @@ GAMMAS = [0.0, 0.25, 0.5, 0.7, 0.9, 1.0]
 class TestReportsMatchReference:
     """Float values bitwise equal to the references', CSVs byte-identical."""
 
+    @pytest.mark.parametrize("kind", [None, *CORRUPTION_KINDS])
+    def test_stability(self, model, image, kind):
+        spec = None if kind is None else CorruptionSpec(kind, 3, seed=7)
+        rows = stability_rows(stability_report(model, image, spec))
+        want = reference_stability(model, image, spec)
+        assert rows == want
+        assert render_csv(STABILITY_HEADER, rows) == render_csv(STABILITY_HEADER, want)
+
+    @pytest.mark.parametrize("sata_enabled", [True, False])
+    def test_stats(self, model, sata_enabled):
+        cfg = CFG.with_overrides(sata_enabled=sata_enabled)
+        images = [random_image(CFG, seed) for seed in (1, 2, 3)]
+        rows = stats_report(model, images, cfg=cfg)
+        want = reference_stats(model, images, cfg=cfg)
+        assert rows == want
+        assert render_csv(STATS_HEADER, rows) == render_csv(STATS_HEADER, want)
+
     @pytest.mark.parametrize("seed", [0, 6])
     def test_averaged_stability(self, model, image, seed, tmp_path):
         out = tmp_path / "avg.csv"
-        records = averaged_stability_report(model, image, seed=seed, out=out)
+        rows = stability_rows(averaged_stability_report(model, image, seed=seed))
+        write_csv(out, STABILITY_HEADER, rows)
         want = reference_averaged_stability(model, image, seed)
-        assert [[r.block_index, r.delta_attention, r.delta_sata] for r in records] == want
+        assert rows == want
         assert out.read_bytes() == render_csv(STABILITY_HEADER, want).encode("utf-8")
 
     @pytest.mark.parametrize("param,values", [
@@ -216,16 +276,19 @@ class TestReportsMatchReference:
         stage_model = random_init(CFG.with_overrides(sata_enabled=stored_sata), seed=2024)
         images = [random_image(CFG, 55), random_image(CFG, 56)]
         out = tmp_path / "sweep.csv"
-        records = sweep(stage_model, images, param, values, out=out)
+        records = sweep(stage_model, images, param, values)
+        rows = [[r.value, r.total_flops, r.logit_drift] for r in records]
+        write_csv(out, SWEEP_HEADER, rows)
         want, want_tokens = reference_sweep(stage_model, images, param, values)
-        assert [[r.value, r.total_flops, r.logit_drift] for r in records] == want
+        assert rows == want
         assert [r.ffn_tokens_per_block for r in records] == want_tokens
         assert out.read_bytes() == render_csv(SWEEP_HEADER, want).encode("utf-8")
 
     def test_sweep_run_config_overrides_stored_one(self, model, image, tmp_path):
         cfg = CFG.with_overrides(sata_enabled=False, gamma=0.25, alpha=0.5)
         out = tmp_path / "sweep.csv"
-        sweep(model, [image], "alpha", [1.0, 1.5, 0.5], cfg=cfg, out=out)
+        records = sweep(model, [image], "alpha", [1.0, 1.5, 0.5], cfg=cfg)
+        write_csv(out, SWEEP_HEADER, [[r.value, r.total_flops, r.logit_drift] for r in records])
         want, _ = reference_sweep(model, [image], "alpha", [1.0, 1.5, 0.5], cfg=cfg)
         assert out.read_bytes() == render_csv(SWEEP_HEADER, want).encode("utf-8")
 
@@ -290,8 +353,7 @@ def report_csvs(model) -> dict[str, str]:
     images = [random_image(POOL_CFG, seed) for seed in (1, 2, 3)]
 
     def stability_csv(records):
-        return render_csv(STABILITY_HEADER,
-                          [[r.block_index, r.delta_attention, r.delta_sata] for r in records])
+        return render_csv(STABILITY_HEADER, stability_rows(records))
 
     def sweep_csv(records):
         rows = [[r.value, r.total_flops, r.logit_drift] for r in records]
@@ -369,7 +431,8 @@ class TestWorkers:
 class TestStatsReport:
     def test_rows_and_header(self, model, image, tmp_path):
         out = tmp_path / "stats.csv"
-        rows = stats_report(model, [image], out=out)
+        rows = stats_report(model, [image])
+        write_csv(out, STATS_HEADER, rows)
         assert len(rows) == CFG.depth
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == ",".join(STATS_HEADER)
@@ -410,7 +473,8 @@ class TestSweep:
 
     def test_csv_schema(self, model, image, tmp_path):
         out = tmp_path / "sweep.csv"
-        sweep(model, [image], "alpha", [1.0], out=out)
+        records = sweep(model, [image], "alpha", [1.0])
+        write_csv(out, SWEEP_HEADER, [[r.value, r.total_flops, r.logit_drift] for r in records])
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == ",".join(SWEEP_HEADER)
         assert len(lines) == 2
@@ -428,7 +492,8 @@ class TestSweep:
 class TestSelftest:
     def test_all_checks_pass(self, tmp_path):
         out = tmp_path / "self.csv"
-        rows, ok = selftest(seed=0, out=out)
+        rows, ok = selftest(seed=0)
+        write_csv(out, SELFTEST_HEADER, rows)
         assert ok
         assert all(r[3] == "pass" for r in rows)
         text = out.read_text(encoding="utf-8")

@@ -163,6 +163,17 @@ class TestGelu:
         assert np.all(np.diff(vals) >= 0)
 
 
+class TestFiniteGuard:
+    @pytest.mark.parametrize("kernel", [
+        row_softmax,
+        gelu,
+        lambda x: layer_norm(x, np.ones(3), np.zeros(3)),
+    ], ids=["row_softmax", "gelu", "layer_norm"])
+    def test_inf_input_raises(self, kernel):
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+            kernel(np.array([[0.5, np.inf, -1.0]]))
+
+
 class TestMeanStdMedian:
     """The mean and median rules of the score summaries.
 
