@@ -21,6 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import parallel
 from .modelio import Model, attn_view, embed_view, ffn_view, head_view
 # ffn and spatial_scores are unused here; perfbench/run.py traces them as engine globals
 from .moran import spatial_scores
@@ -49,17 +50,19 @@ def run_blocks(
     Returns the stream leaving block ``stop - 1`` (``x`` itself for an
     empty range) and one trace per block run.  The stream is never
     modified in place, so a caller may keep it and resume from it.
+    The blocks run on ``parallel.lanes(cfg)``, decided once per call.
     """
     if not 0 <= first <= stop <= cfg.depth:
         raise ValueError(f"block range [{first}, {stop}) outside depth {cfg.depth}")
     start = cfg.sata_start_block
+    lanes = parallel.lanes(cfg)
     traces: list[BlockTrace] = []
     for i in range(first, stop):
-        attn = mhsa(x, attn_view(model, i), cfg.heads)
+        attn = mhsa(x, attn_view(model, i), cfg.heads, lanes)
         xa = attn.features
         x_next, trace = sata_stage(
             xa, attn, cfg, ffn_view(model, i), block_index=i,
-            merge=cfg.sata_enabled and i >= start,
+            merge=cfg.sata_enabled and i >= start, lanes=lanes,
         )
         if capture_streams:
             trace = replace(trace, x_pre=xa.copy(), x_post=x_next.copy())

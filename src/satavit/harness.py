@@ -9,27 +9,26 @@ reporting FLOPs against logit drift.
 Reports return records or rows and write nothing; ``write_csv`` and
 ``render_csv`` turn rows into CSV, deterministic given seeds: UTF-8,
 LF line endings, floats formatted with %.9g, integers bare.  A
-report's forwards are independent; ``_map`` runs them on a thread pool
-where that pays (see ``_workers``) and returns them in order, so every
-reduction sums in the serial order and the CSVs do not depend on the
-pool.
+report's forwards are independent; ``parallel.pool_map`` runs them on
+a thread pool where that pays (see ``parallel.workers``) and returns
+them in order, so every reduction sums in the serial order and the
+CSVs do not depend on the pool.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import uniform_filter
 
+from . import parallel
 from .engine import classify, embed, forward, run_blocks
 from .modelio import Model, random_init
 from .moran import SpatialScores, spatial_scores
 from .rng import SplitMix64
-from .sata import bipartite_match, ffn_flops, sata_stage, split_tokens
+from .sata import bipartite_match, sata_stage, split_tokens
 from .tensorops import cosine_similarity, row_softmax
 from .vit import AttentionOutput, FfnWeights, ModelConfig, ffn
 
@@ -69,45 +68,6 @@ _STATS_COLUMNS = [
 STATS_HEADER = ["block", *_STATS_COLUMNS] + [f"hist_{i}" for i in range(HIST_BINS)]
 SWEEP_HEADER = ["param_value", "total_flops", "logit_drift"]
 SELFTEST_HEADER = ["check", "cases", "max_abs_error", "status"]
-
-# 2-thread/serial time, averaged report, 2 CPUs: 1.28x at 9.6M (d96), 0.84-1.15x at 17M (d128)
-_POOL_MIN_FFN_FLOPS = 10_000_000
-
-
-# ---------------------------------------------------------------------------
-# independent forwards on a thread pool
-
-
-def _workers(cfg: ModelConfig) -> int:
-    """Threads for a report's independent forwards: the usable CPUs, or 1.
-
-    Numpy GEMMs, ``erf`` and the elementwise kernels release the GIL, so
-    forwards overlap on several cores, but only if BLAS runs each call
-    on the calling thread (otherwise the pool oversubscribes the CPUs)
-    and a block's FFN is large enough that the forward is not mostly
-    Python under the GIL.
-    """
-    blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
-    if blas != "1" or ffn_flops(cfg.num_tokens, cfg.dim, cfg.hidden) < _POOL_MIN_FFN_FLOPS:
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _map(fn, items, cfg: ModelConfig) -> list:
-    """``[fn(item) for item in items]``, on ``_workers(cfg)`` threads when above 1.
-
-    Results keep the order of ``items``, so callers reduce them in the
-    serial order and their sums are bitwise the same; the first task
-    exception reaches the caller.
-    """
-    workers = min(_workers(cfg), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +288,7 @@ def _stability(model: Model, image, specs, cfg: ModelConfig) -> list[StabilityRe
     its cosines bit for bit (a -0.0 keeps its sign).  Without specs the
     clean traces are compared with themselves.
     """
-    clean, *corrupted = _map(
+    clean, *corrupted = parallel.pool_map(
         lambda sp: _block_traces(model, image, sp, cfg), [None, *specs], cfg
     )
     deltas = [
@@ -404,7 +364,9 @@ def stats_report(model: Model, images, cfg: ModelConfig | None = None) -> list[l
     depth = run_cfg.depth
     sums = np.zeros((depth, len(_STATS_COLUMNS)))
     hists = np.zeros((depth, HIST_BINS), dtype=np.int64)
-    per_image = _map(lambda image: forward(image, model, cfg=run_cfg)[1], images, run_cfg)
+    per_image = parallel.pool_map(
+        lambda image: forward(image, model, cfg=run_cfg)[1], images, run_cfg
+    )
     for traces in per_image:  # summed in image order
         sums += [
             [tr.mean_s, tr.abs_median_s, *tr.bounds, tr.n_a, tr.n_b, tr.ffn_tokens,
@@ -482,7 +444,7 @@ def sweep(
         for value in values
     ]
     starts = sorted({c.sata_start_block for c in run_cfgs})
-    baselines = _map(
+    baselines = parallel.pool_map(
         lambda img: _stage_off_segments(model, img, baseline_cfg, starts), images, base_cfg
     )
 
@@ -499,7 +461,9 @@ def sweep(
             [tr.ffn_tokens for tr in traces],
         )
 
-    tails = _map(run_tail, [(c, b) for c in run_cfgs for b in baselines], base_cfg)
+    tails = parallel.pool_map(
+        run_tail, [(c, b) for c in run_cfgs for b in baselines], base_cfg
+    )
     n = len(images)
     records = []
     for k, run_cfg in enumerate(run_cfgs):

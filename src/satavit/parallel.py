@@ -1,0 +1,190 @@
+"""One rule for running a model's independent work on several CPUs.
+
+Two kinds of work follow it.  A harness report's independent forwards
+go through :func:`pool_map`; inside one forward, each block splits its
+two largest steps into :class:`Lanes` (head groups from the Q/K/V
+projections to the attended values, token rows for the whole FFN).
+:func:`workers` decides how many threads either may use; it reads only
+the environment and the model's shape, so there is no option to set.
+
+Both run on one persistent thread pool, started on first use.  Work
+running on a pool thread never uses the pool again: a report's
+forwards run their lanes inline, so the CPUs are never oversubscribed
+and no pool thread waits on a task queued behind it.
+
+Every partition is fixed by the sizes alone and every part writes its
+own rows or heads, so results do not depend on the thread count (see
+:meth:`Lanes._chunks` for the one condition that needs).
+"""
+
+from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from dataclasses import dataclass
+
+__all__ = ["workers", "pool_map", "Lanes", "SERIAL", "lanes"]
+
+# 2-thread/serial time, averaged report, 2 CPUs: 1.28x at 9.6M (d96), 0.84-1.15x at 17M (d128)
+_POOL_MIN_FFN_FLOPS = 10_000_000
+# 2-lane/serial time of a 12-block, 197-token forward, 2 CPUs: 0.95-1.01x at 116M (d192),
+# 0.96-0.99x at 206M (d256), 0.97x at 323M (d320), 0.74-0.82x at 465M (d384)
+_LANE_MIN_FFN_FLOPS = 400_000_000
+
+# OpenBLAS runs a double GEMM with M*N*K <= 100**3 on its small-matrix
+# kernel, which rounds differently from the blocked one; a chunk of rows
+# or columns on the other side of that line from the whole product
+# changes its bits
+_SMALL_GEMM_MNK = 100**3
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+_pool_thread = threading.local()
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def workers(cfg, min_ffn_flops: int = _POOL_MIN_FFN_FLOPS) -> int:
+    """Threads for a model's independent work: the usable CPUs, or 1.
+
+    Numpy GEMMs and the elementwise kernels release the GIL, so work
+    overlaps on several cores, but only if BLAS runs each call on the
+    calling thread (otherwise the threads oversubscribe the CPUs) and a
+    block's FFN has at least ``min_ffn_flops``, so that the work is not
+    mostly Python under the GIL.  Whole forwards pay from
+    ``_POOL_MIN_FFN_FLOPS``; lanes, which join twice per block, from
+    ``_LANE_MIN_FFN_FLOPS``.
+    """
+    from .sata import ffn_flops  # sata imports vit, which imports this module
+
+    blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    if blas != "1" or ffn_flops(cfg.num_tokens, cfg.dim, cfg.hidden) < min_ffn_flops:
+        return 1
+    return _cpus()
+
+
+def _mark_pool_thread() -> None:
+    _pool_thread.active = True
+
+
+def _on_pool_thread() -> bool:
+    return getattr(_pool_thread, "active", False)
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                max_workers=_cpus(), thread_name_prefix="satavit",
+                initializer=_mark_pool_thread,
+            )
+        return _pool
+
+
+def _results(futures) -> list:
+    """Each future's result in order; on the first failure, cancel and
+    wait for the rest, then raise it."""
+    try:
+        return [f.result() for f in futures]
+    except BaseException:
+        _abandon(futures)
+        raise
+
+
+def _abandon(futures) -> None:
+    for f in futures:
+        f.cancel()
+    wait(futures)
+
+
+def pool_map(fn, items, cfg) -> list:
+    """``[fn(item) for item in items]``, on the pool when ``workers(cfg)`` is above 1.
+
+    Results keep the order of ``items``, so callers reduce them in the
+    serial order and their sums are bitwise the same; the first task
+    exception (in item order) reaches the caller.  On a pool thread it
+    runs serially.
+    """
+    items = list(items)
+    if _on_pool_thread() or min(workers(cfg), len(items)) <= 1:
+        return [fn(item) for item in items]
+    pool = _executor()
+    return _results([pool.submit(fn, item) for item in items])
+
+
+def _split(n: int, parts: int) -> list[slice]:
+    """``range(n)`` cut into ``parts`` contiguous slices whose sizes differ by at most 1."""
+    bounds = [n * j // parts for j in range(parts + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+@dataclass(frozen=True)
+class Lanes:
+    """How many threads one forward splits each block's work over; 1 runs it inline."""
+
+    count: int = 1
+
+    def rows(self, n: int, k: int, m: int) -> list[slice]:
+        """Row chunks of an (n, k) operand multiplied by a (k, m) matrix."""
+        return self._chunks(n, 1, k * m)
+
+    def heads(self, heads: int, n: int, d: int) -> list[slice]:
+        """Head groups of an (n, d) operand projected by a (d, d) matrix,
+        each group taking its heads' block of columns."""
+        return self._chunks(heads, d // heads, n * d)
+
+    def _chunks(self, units: int, lines: int, mk: int) -> list[slice]:
+        """``units`` cut into up to ``count`` chunks, each ``lines`` product
+        lines (rows or columns) per unit against the other two GEMM sizes
+        ``mk``.
+
+        A chunk's product is bitwise the matching lines of the whole
+        product only while BLAS picks the same kernel for both, so every
+        chunk keeps its share of the product above OpenBLAS's
+        small-matrix ceiling and at least 2 lines (1 line takes the
+        matrix-vector path); work too small for two such chunks stays
+        whole.
+        """
+        if self.count == 1:
+            return [slice(0, units)]
+        min_lines = max(2, _SMALL_GEMM_MNK // mk + 1)
+        min_units = -(-min_lines // lines)
+        return _split(units, max(1, min(self.count, units // min_units)))
+
+    def run(self, fn, parts) -> list:
+        """``[fn(part) for part in parts]``: the first part on the calling
+        thread, the others on the pool.
+
+        A part no pool thread has started by the time the caller gets
+        to it runs on the caller, so a slow-to-wake pool costs at most
+        the serial time.  Every part has finished when this returns or
+        raises; the first failing part in order raises.
+        """
+        if len(parts) == 1:
+            return [fn(parts[0])]
+        pool = _executor()
+        futures = [pool.submit(fn, part) for part in parts[1:]]
+        try:
+            results = [fn(parts[0])]
+            for future, part in zip(futures, parts[1:]):
+                results.append(fn(part) if future.cancel() else future.result())
+        except BaseException:
+            _abandon(futures)
+            raise
+        return results
+
+
+SERIAL = Lanes()
+
+
+def lanes(cfg) -> Lanes:
+    """The lanes of one forward: ``workers`` of them, but 1 on a pool thread."""
+    count = 1 if _on_pool_thread() else workers(cfg, _LANE_MIN_FFN_FLOPS)
+    return SERIAL if count == 1 else Lanes(count)

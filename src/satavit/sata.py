@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .moran import SpatialScores, spatial_scores
+from .parallel import SERIAL, Lanes
 from .tensorops import as_matrix
 from .vit import AttentionOutput, FfnWeights, ModelConfig, ffn
 
@@ -210,6 +211,7 @@ def sata_stage(
     ffn_weights: FfnWeights,
     block_index: int = 0,
     merge: bool = True,
+    lanes: Lanes = SERIAL,
 ) -> tuple[np.ndarray, BlockTrace]:
     """Score, split, merge, run the reduced FFN, and restore all positions.
 
@@ -223,6 +225,7 @@ def sata_stage(
     runs on the stream itself with no gather or restore; the trace then
     reports an empty out-of-band set (``n_a=0``, ``n_b=N-1``, no groups,
     no residuals, ``ffn_tokens=N``) next to the real bounds and scores.
+    The FFN runs on ``lanes``.
     """
     x = as_matrix(x)
     n_all, d = x.shape
@@ -239,14 +242,14 @@ def sata_stage(
     )
     split = split_tokens(scores, cfg.alpha)
     if not merge:
-        out = ffn(x, ffn_weights)
+        out = ffn(x, ffn_weights, lanes)
         out += x
         n_a, n_b, n_groups, n_tokens = 0, n_all - 1, 0, n_all
         residuals = np.empty(0, dtype=np.int64)
     else:
         plan = bipartite_match(split.set_a, patches, metric=cfg.match_metric)
         ffn_in = np.concatenate([x[:1], patches[split.set_b], plan.representatives], axis=0)
-        deltas = ffn(ffn_in, ffn_weights)
+        deltas = ffn(ffn_in, ffn_weights, lanes)
 
         n_a, n_b = int(split.set_a.size), int(split.set_b.size)
         out = x.copy()

@@ -35,7 +35,7 @@ def as_matrix(a) -> np.ndarray:
 
 
 def _check_finite(m: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise FloatingPointError(f"{op} produced non-finite entries")
     return m
 
@@ -62,9 +62,14 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> np.ndarray:
             f"gain has shape {gain.shape}, bias has shape {bias.shape}"
         )
     # (x - mu) / sqrt(var + eps) * gain + bias, var summed and divided
-    # by the column count in np.var's order
-    dev = x - x.mean(axis=1, keepdims=True)
-    dev /= np.sqrt((dev * dev).sum(axis=1, keepdims=True) / x.shape[1] + eps)
+    # by the column count in np.var's order; a row whose mean or
+    # variance overflows would come out as the bias, finite, so it is
+    # rejected here rather than warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = x - x.sum(axis=1, keepdims=True) / x.shape[1]  # x.mean's bits
+        var = (dev * dev).sum(axis=1, keepdims=True) / x.shape[1]
+    _check_finite(var, "layer_norm")
+    dev /= np.sqrt(var + eps)
     dev *= gain
     dev += bias
     return _check_finite(dev, "layer_norm")

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .parallel import SERIAL, Lanes
 from .tensorops import as_matrix, gelu, layer_norm, row_softmax
 
 __all__ = [
@@ -235,12 +236,15 @@ def patch_embed(image, w: EmbedWeights, cfg: ModelConfig) -> np.ndarray:
     return x + w.pos_embed
 
 
-def mhsa(x, w: AttnWeights, heads: int) -> AttentionOutput:
+def mhsa(x, w: AttnWeights, heads: int, lanes: Lanes = SERIAL) -> AttentionOutput:
     """Pre-norm multi-head self-attention with residual add.
 
     Per-head logits are scaled by 1/sqrt(dim/heads); the returned
     ``mean_attention`` is the head average of the post-softmax maps, and
     ``per_head`` keeps the individual maps for downstream consumers.
+    ``lanes`` splits the work from the Q/K/V projections to the attended
+    values by head groups (each group projects its own columns); the
+    result is bitwise the same for every lane count.
     """
     x = as_matrix(x)
     n, d = x.shape
@@ -253,19 +257,25 @@ def mhsa(x, w: AttnWeights, heads: int) -> AttentionOutput:
     scale = 1.0 / np.sqrt(hd)
 
     normed = layer_norm(x, w.ln_gain, w.ln_bias, eps=LN_EPS)
-    q, k, v = normed @ w.wq, normed @ w.wk, normed @ w.wv
-    q += w.bq
-    k += w.bk
-    v += w.bv
-
-    # all heads at once: each head's column block viewed as (heads, n, hd)
     attended = np.empty((n, d))
-    qh, kh, vh, ah = (m.reshape(n, heads, hd).transpose(1, 0, 2) for m in (q, k, v, attended))
-    logits = qh @ kh.transpose(0, 2, 1)
-    logits *= scale
-    maps = row_softmax(logits.reshape(heads * n, n)).reshape(heads, n, n)
-    np.matmul(maps, vh, out=ah)
+    # each head's column block viewed as (heads, n, hd)
+    ah = attended.reshape(n, heads, hd).transpose(1, 0, 2)
 
+    def attend(group):
+        cols = slice(group.start * hd, group.stop * hd)
+        q, k, v = normed @ w.wq[:, cols], normed @ w.wk[:, cols], normed @ w.wv[:, cols]
+        q += w.bq[cols]
+        k += w.bk[cols]
+        v += w.bv[cols]
+        qh, kh, vh = (m.reshape(n, -1, hd).transpose(1, 0, 2) for m in (q, k, v))
+        logits = qh @ kh.transpose(0, 2, 1)
+        logits *= scale
+        maps = row_softmax(logits.reshape(-1, n)).reshape(-1, n, n)
+        np.matmul(maps, vh, out=ah[group])
+        return maps
+
+    groups = lanes.run(attend, lanes.heads(heads, n, d))
+    maps = groups[0] if len(groups) == 1 else np.concatenate(groups)
     features = attended @ w.wo
     features += w.bo
     features += x
@@ -276,22 +286,30 @@ def mhsa(x, w: AttnWeights, heads: int) -> AttentionOutput:
     )
 
 
-def ffn(x, w: FfnWeights) -> np.ndarray:
+def ffn(x, w: FfnWeights, lanes: Lanes = SERIAL) -> np.ndarray:
     """Feed-forward delta: Linear -> GELU -> Linear on the layer-normed input.
 
     Returns only the delta; the caller owns the residual add.  An empty
-    token tensor maps to an empty delta.
+    token tensor maps to an empty delta.  ``lanes`` splits the whole
+    chain by token rows; the result is bitwise the same for every lane
+    count.
     """
     x = as_matrix(x)
-    d = x.shape[1]
+    n, d = x.shape
     if w.w1.shape[0] != d or w.w2.shape[1] != d or w.w1.shape[1] != w.w2.shape[0]:
         raise ValueError(
             f"ffn weight shapes {w.w1.shape} / {w.w2.shape} do not chain for dim {d}"
         )
-    if x.shape[0] == 0:
+    if n == 0:
         return np.zeros_like(x)
-    h = layer_norm(x, w.ln_gain, w.ln_bias, eps=LN_EPS) @ w.w1
-    h += w.b1
-    out = gelu(h) @ w.w2
-    out += w.b2
+    out = np.empty((n, d))
+
+    def ffn_rows(rows):
+        h = layer_norm(x[rows], w.ln_gain, w.ln_bias, eps=LN_EPS) @ w.w1
+        h += w.b1
+        part = out[rows]
+        np.matmul(gelu(h), w.w2, out=part)
+        part += w.b2
+
+    lanes.run(ffn_rows, lanes.rows(n, d, w.w1.shape[1]))
     return out

@@ -11,9 +11,11 @@ from satavit import (
     forward,
     harness,
     load_model,
+    parallel,
     random_image,
     random_init,
     save_model,
+    vit,
     write_raw_image,
 )
 from satavit.sata import ffn_flops
@@ -328,6 +330,16 @@ class TestImageInput:
         assert "non-finite" in err
         assert "Traceback" not in err
 
+    def test_layer_norm_overflow_exits_two_without_a_warning(self, model_path, tmp_path):
+        # 4 values per patch: the embedding stays finite, its variance does not
+        path = tmp_path / "huge.f64"
+        write_raw_image(np.full((CONFIG["image"], CONFIG["image"]), 1e308), path)
+        res = run_cli("forward", "--model", model_path, "--image", path)
+        assert res.returncode == 2
+        assert "layer_norm produced non-finite" in res.stderr
+        assert "RuntimeWarning" not in res.stderr
+        assert "Traceback" not in res.stderr
+
 
 # one block's full FFN is 17M FLOPs: reports go on the thread pool at 1 BLAS thread
 POOL_CONFIG = {"depth": 2, "dim": 128, "heads": 4, "patch": 4, "image": 32,
@@ -349,7 +361,7 @@ class TestParallelReports:
     def test_stdout_identical_with_blas_pinned_and_not(self, pool_model_path, tmp_path,
                                                        monkeypatch):
         cfg = ModelConfig(**POOL_CONFIG)
-        assert ffn_flops(cfg.num_tokens, cfg.dim, cfg.hidden) >= harness._POOL_MIN_FFN_FLOPS
+        assert ffn_flops(cfg.num_tokens, cfg.dim, cfg.hidden) >= parallel._POOL_MIN_FFN_FLOPS
         image_flags = []
         for seed in (1, 2, 3):
             write_raw_image(random_image(cfg, seed), tmp_path / f"img{seed}.raw")
@@ -372,9 +384,27 @@ class TestParallelReports:
             raise FloatingPointError("block 0 gelu produced non-finite entries")
 
         monkeypatch.setattr(harness, "forward", failing)
-        monkeypatch.setattr(harness, "_workers", lambda cfg: 2)
+        monkeypatch.setattr(parallel, "workers", lambda *args: 2)
         code, _, err = main_in_process(capsys, "stability", "--model", pool_model_path,
                                        "--average")
+        assert code == 2
+        assert "gelu produced non-finite entries" in err
+        assert "Traceback" not in err
+
+    def test_lane_error_exits_two(self, pool_model_path, monkeypatch, capsys):
+        gelu = vit.gelu
+
+        def infinite_in_the_second_lane(x):  # rows 32-64 of a full block's FFN
+            if x.shape[0] == 33:
+                x = x.copy()
+                x[0, 0] = np.inf
+            return gelu(x)
+
+        cfg = ModelConfig(**POOL_CONFIG)
+        assert parallel.Lanes(2).rows(cfg.num_tokens, cfg.dim, cfg.hidden)[1] == slice(32, 65)
+        monkeypatch.setattr(vit, "gelu", infinite_in_the_second_lane)
+        monkeypatch.setattr(parallel, "workers", lambda *args: 2)
+        code, _, err = main_in_process(capsys, "forward", "--model", pool_model_path)
         assert code == 2
         assert "gelu produced non-finite entries" in err
         assert "Traceback" not in err

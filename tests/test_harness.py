@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from satavit import ModelConfig, engine, harness, random_init
+from satavit import ModelConfig, engine, harness, parallel, random_init
 from satavit.engine import forward
 from satavit.harness import (
     CORRUPTION_KINDS,
@@ -379,10 +379,10 @@ class TestThreadPool:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(harness, "forward", recorded)
-        monkeypatch.setattr(harness, "_workers", lambda cfg: 1)
+        monkeypatch.setattr(parallel, "workers", lambda *args: 1)
         serial = report_csvs(pool_model)
         assert threads == {threading.get_ident()}
-        monkeypatch.setattr(harness, "_workers", lambda cfg: 2)
+        monkeypatch.setattr(parallel, "workers", lambda *args: 2)
         pooled = report_csvs(pool_model)
         assert len(threads) > 1  # the pool ran forwards off the main thread
         assert pooled == serial
@@ -398,7 +398,7 @@ class TestThreadPool:
             return original(image, *args, **kwargs)
 
         monkeypatch.setattr(harness, "forward", failing)
-        monkeypatch.setattr(harness, "_workers", lambda cfg: 2)
+        monkeypatch.setattr(parallel, "workers", lambda *args: 2)
         image = random_image(POOL_CFG, 1)
         with pytest.raises(FloatingPointError, match="block 2 ffn produced non-finite"):
             averaged_stability_report(pool_model, image, seed=0)
@@ -421,11 +421,11 @@ class TestWorkers:
                 monkeypatch.delenv(var, raising=False)
             else:
                 monkeypatch.setenv(var, value)
-        assert harness._workers(POOL_CFG) == (self.CPUS if want == "cpus" else want)
+        assert parallel.workers(POOL_CFG) == (self.CPUS if want == "cpus" else want)
 
     def test_small_model_stays_serial(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert harness._workers(ModelConfig(depth=8, dim=32, heads=4)) == 1
+        assert parallel.workers(ModelConfig(depth=8, dim=32, heads=4)) == 1
 
 
 class TestStatsReport:

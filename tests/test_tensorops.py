@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import astuple, is_dataclass
 
 import numpy as np
@@ -142,6 +143,14 @@ class TestLayerNorm:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             layer_norm(np.zeros((2, 3)), np.ones(4), np.zeros(3))
+
+    @pytest.mark.parametrize("row", [[1e200, -1e200, 0.0], [1e308, 1e308, -1e308]],
+                             ids=["variance-overflows", "mean-overflows"])
+    def test_overflowing_row_raises_without_a_warning(self, row):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="layer_norm produced non-finite"):
+                layer_norm([[1.0, 2.0, 4.0], row], np.ones(3), np.zeros(3))
 
 
 class TestGelu:
