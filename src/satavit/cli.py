@@ -33,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_run_flags(p: argparse.ArgumentParser, images: bool = True):
+def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--model", required=True, help="model path stem (manifest + weights)")
     p.add_argument("--seed", type=int, default=0, help="seed for synthetic inputs")
     p.add_argument("--alpha", type=float, default=None, help="override band scale")
@@ -42,14 +42,13 @@ def _add_run_flags(p: argparse.ArgumentParser, images: bool = True):
         "--no-sata", action="store_true", help="disable the token stage entirely"
     )
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-    if images:
-        p.add_argument(
-            "--image",
-            action="append",
-            default=None,
-            help="input image (raw float64 or PGM/PPM); repeatable; "
-            "omit for a seeded random image",
-        )
+    p.add_argument(
+        "--image",
+        action="append",
+        default=None,
+        help="input image (raw float64 or PGM/PPM); repeatable; "
+        "omit for a seeded random image",
+    )
 
 
 def _build_parser() -> _Parser:
@@ -189,9 +188,9 @@ def _cmd_sweep(args) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
-        return _usage_error("sweep", "--values must be comma-separated numbers")
+        raise UsageError("--values must be comma-separated numbers") from None
     if not values:
-        return _usage_error("sweep", "--values is empty")
+        raise UsageError("--values is empty")
     model, cfg = _load_run(args)
     records = harness.sweep(model, _load_images(args, cfg), args.param, values, cfg=cfg)
     rows = [[r.value, r.total_flops, r.logit_drift] for r in records]
@@ -221,11 +220,6 @@ def _cmd_selftest(args) -> int:
     if args.out is not None:
         print(f"selftest: {'pass' if ok else 'FAIL'} ({len(rows)} checks)")
     return 0 if ok else 2
-
-
-def _usage_error(prog: str, message: str) -> int:
-    sys.stderr.write(f"satavit {prog}: error: {message}\n")
-    return 1
 
 
 _COMMANDS = {

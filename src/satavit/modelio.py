@@ -4,7 +4,9 @@ On disk a model is two files sharing a stem: ``<name>.manifest.json``
 (config, tensor table, checksum) and ``<name>.weights.bin`` (the raw
 tensors as little-endian float64, concatenated in manifest order).
 The checksum is a 64-bit BLAKE2b digest of the blob bytes, stored as
-16 hex characters; it is verified on load.
+16 hex characters; it is verified on load.  The tensor names, shapes
+and blob order, and the typed weights a ``Model`` resolves, all derive
+from the one layout table in ``_layout``.
 
 Random initialization draws every tensor from the package's fixed
 splitmix64 stream (see :mod:`satavit.rng`), so a seed produces the
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -49,56 +51,86 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True)
 class Model:
+    """A config and its tensors by name (the one storage), with the typed
+    weights resolved from the params' own arrays once, at construction."""
+
     config: ModelConfig
     params: dict[str, np.ndarray]
+    embed: EmbedWeights = field(init=False, repr=False, compare=False)
+    # one (attention, FFN) pair per block
+    blocks: tuple[tuple[AttnWeights, FfnWeights], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    head: HeadWeights = field(init=False, repr=False, compare=False)
 
-    def tensor(self, name: str) -> np.ndarray:
-        try:
-            return self.params[name]
-        except KeyError:
-            raise SchemaError(f"model has no tensor named {name!r}") from None
+    def __post_init__(self):
+        embed, *blocks, head = [
+            cls(**{f: self._param(name, shape) for f, name, shape in tensors})
+            for cls, tensors in _layout(self.config)
+        ]
+        object.__setattr__(self, "embed", embed)
+        object.__setattr__(self, "blocks", tuple(zip(blocks[::2], blocks[1::2])))
+        object.__setattr__(self, "head", head)
+
+    def _param(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if name not in self.params:
+            raise SchemaError(f"model has no tensor named {name!r}")
+        if self.params[name].shape != shape:
+            raise SchemaError(
+                f"tensor {name!r} has shape {self.params[name].shape}, schema requires {shape}"
+            )
+        return self.params[name]
+
+
+def _layout(cfg: ModelConfig) -> list[tuple[type, list[tuple[str, str, tuple[int, ...]]]]]:
+    """The weight layout in blob order: each weights object's class and
+    its tensors as (field, name, shape)."""
+    d, h = cfg.dim, cfg.hidden
+    layout: list = [(EmbedWeights, [
+        ("weight", "patch_embed.weight", (cfg.patch * cfg.patch * cfg.channels, d)),
+        ("bias", "patch_embed.bias", (d,)),
+        ("class_token", "class_token", (d,)),
+        ("pos_embed", "pos_embed", (cfg.num_tokens, d)),
+    ])]
+    for i in range(cfg.depth):
+        b = f"block{i}"
+        layout += [
+            (AttnWeights, [
+                ("ln_gain", f"{b}.ln1.gain", (d,)),
+                ("ln_bias", f"{b}.ln1.bias", (d,)),
+                ("wq", f"{b}.attn.wq", (d, d)),
+                ("bq", f"{b}.attn.bq", (d,)),
+                ("wk", f"{b}.attn.wk", (d, d)),
+                ("bk", f"{b}.attn.bk", (d,)),
+                ("wv", f"{b}.attn.wv", (d, d)),
+                ("bv", f"{b}.attn.bv", (d,)),
+                ("wo", f"{b}.attn.wo", (d, d)),
+                ("bo", f"{b}.attn.bo", (d,)),
+            ]),
+            (FfnWeights, [
+                ("ln_gain", f"{b}.ln2.gain", (d,)),
+                ("ln_bias", f"{b}.ln2.bias", (d,)),
+                ("w1", f"{b}.ffn.w1", (d, h)),
+                ("b1", f"{b}.ffn.b1", (h,)),
+                ("w2", f"{b}.ffn.w2", (h, d)),
+                ("b2", f"{b}.ffn.b2", (d,)),
+            ]),
+        ]
+    layout.append((HeadWeights, [
+        ("ln_gain", "final_norm.gain", (d,)),
+        ("ln_bias", "final_norm.bias", (d,)),
+        ("weight", "head.weight", (d, cfg.num_classes)),
+        ("bias", "head.bias", (cfg.num_classes,)),
+    ]))
+    return layout
 
 
 def tensor_schema(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Canonical (name, shape) list for every tensor a config requires."""
-    d, h = cfg.dim, cfg.hidden
-    schema: list[tuple[str, tuple[int, ...]]] = [
-        ("patch_embed.weight", (cfg.patch * cfg.patch * cfg.channels, d)),
-        ("patch_embed.bias", (d,)),
-        ("class_token", (d,)),
-        ("pos_embed", (cfg.num_tokens, d)),
-    ]
-    for i in range(cfg.depth):
-        b = f"block{i}"
-        schema += [
-            (f"{b}.ln1.gain", (d,)),
-            (f"{b}.ln1.bias", (d,)),
-            (f"{b}.attn.wq", (d, d)),
-            (f"{b}.attn.bq", (d,)),
-            (f"{b}.attn.wk", (d, d)),
-            (f"{b}.attn.bk", (d,)),
-            (f"{b}.attn.wv", (d, d)),
-            (f"{b}.attn.bv", (d,)),
-            (f"{b}.attn.wo", (d, d)),
-            (f"{b}.attn.bo", (d,)),
-            (f"{b}.ln2.gain", (d,)),
-            (f"{b}.ln2.bias", (d,)),
-            (f"{b}.ffn.w1", (d, h)),
-            (f"{b}.ffn.b1", (h,)),
-            (f"{b}.ffn.w2", (h, d)),
-            (f"{b}.ffn.b2", (d,)),
-        ]
-    schema += [
-        ("final_norm.gain", (d,)),
-        ("final_norm.bias", (d,)),
-        ("head.weight", (d, cfg.num_classes)),
-        ("head.bias", (cfg.num_classes,)),
-    ]
-    return schema
+    return [(name, shape) for _, tensors in _layout(cfg) for _, name, shape in tensors]
 
 
-def _is_norm_param(name: str) -> bool:
-    return ".ln1." in name or ".ln2." in name or name.startswith("final_norm.")
+_LN_FILL = {"ln_gain": 1.0, "ln_bias": 0.0}
 
 
 def random_init(cfg: ModelConfig, seed: int) -> Model:
@@ -106,13 +138,12 @@ def random_init(cfg: ModelConfig, seed: int) -> Model:
     gen = SplitMix64(seed)
     scale = 1.0 / np.sqrt(cfg.dim)
     params: dict[str, np.ndarray] = {}
-    for name, shape in tensor_schema(cfg):
-        if _is_norm_param(name):
-            fill = 1.0 if name.endswith(".gain") else 0.0
-            params[name] = np.full(shape, fill)
-        else:
-            n = int(np.prod(shape))
-            params[name] = (gen.normal(n) * scale).reshape(shape)
+    for _, tensors in _layout(cfg):
+        for f, name, shape in tensors:
+            if f in _LN_FILL:
+                params[name] = np.full(shape, _LN_FILL[f])
+            else:
+                params[name] = (gen.normal(int(np.prod(shape))) * scale).reshape(shape)
     return Model(config=cfg, params=params)
 
 
@@ -121,12 +152,7 @@ def _blob_bytes(model: Model) -> tuple[bytes, list[dict]]:
     table = []
     offset = 0
     for name, shape in tensor_schema(model.config):
-        arr = model.tensor(name)
-        if tuple(arr.shape) != shape:
-            raise SchemaError(
-                f"tensor {name!r} has shape {tuple(arr.shape)}, schema requires {shape}"
-            )
-        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        raw = np.ascontiguousarray(model.params[name], dtype="<f8").tobytes()
         table.append({"name": name, "shape": list(shape), "offset": offset})
         chunks.append(raw)
         offset += len(raw)
@@ -266,46 +292,16 @@ def load_model(path) -> Model:
 
 
 def embed_view(model: Model) -> EmbedWeights:
-    return EmbedWeights(
-        weight=model.tensor("patch_embed.weight"),
-        bias=model.tensor("patch_embed.bias"),
-        class_token=model.tensor("class_token"),
-        pos_embed=model.tensor("pos_embed"),
-    )
+    return model.embed
 
 
 def attn_view(model: Model, i: int) -> AttnWeights:
-    b = f"block{i}"
-    return AttnWeights(
-        ln_gain=model.tensor(f"{b}.ln1.gain"),
-        ln_bias=model.tensor(f"{b}.ln1.bias"),
-        wq=model.tensor(f"{b}.attn.wq"),
-        bq=model.tensor(f"{b}.attn.bq"),
-        wk=model.tensor(f"{b}.attn.wk"),
-        bk=model.tensor(f"{b}.attn.bk"),
-        wv=model.tensor(f"{b}.attn.wv"),
-        bv=model.tensor(f"{b}.attn.bv"),
-        wo=model.tensor(f"{b}.attn.wo"),
-        bo=model.tensor(f"{b}.attn.bo"),
-    )
+    return model.blocks[i][0]
 
 
 def ffn_view(model: Model, i: int) -> FfnWeights:
-    b = f"block{i}"
-    return FfnWeights(
-        ln_gain=model.tensor(f"{b}.ln2.gain"),
-        ln_bias=model.tensor(f"{b}.ln2.bias"),
-        w1=model.tensor(f"{b}.ffn.w1"),
-        b1=model.tensor(f"{b}.ffn.b1"),
-        w2=model.tensor(f"{b}.ffn.w2"),
-        b2=model.tensor(f"{b}.ffn.b2"),
-    )
+    return model.blocks[i][1]
 
 
 def head_view(model: Model) -> HeadWeights:
-    return HeadWeights(
-        ln_gain=model.tensor("final_norm.gain"),
-        ln_bias=model.tensor("final_norm.bias"),
-        weight=model.tensor("head.weight"),
-        bias=model.tensor("head.bias"),
-    )
+    return model.head

@@ -18,7 +18,7 @@ two differ, and ``row_convention=True`` switches to the latter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,18 +40,15 @@ class SpatialScores:
     s: np.ndarray
     mean_s: float
     abs_median_s: float
-    raw_i: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_values(cls, s, raw_i=None) -> "SpatialScores":
+    def from_values(cls, s) -> "SpatialScores":
         """Build from an explicit score vector, deriving the summaries."""
         s = np.asarray(s, dtype=np.float64).ravel()
         if s.size == 0:
             raise ValueError("SpatialScores needs at least one score")
-        raw = s.copy() if raw_i is None else np.asarray(raw_i, dtype=np.float64).ravel()
-        return cls(
-            s=s, mean_s=float(s.mean()), abs_median_s=abs(float(np.median(s))), raw_i=raw
-        )
+        # sum / n is ndarray.mean's add.reduce and divide, bitwise, without its wrapper
+        return cls(s=s, mean_s=float(s.sum() / s.size), abs_median_s=abs(float(np.median(s))))
 
 
 def global_attribute(x) -> np.ndarray:
@@ -59,7 +56,7 @@ def global_attribute(x) -> np.ndarray:
     x = as_matrix(x)
     if x.shape[0] < 1 or x.shape[1] < 1:
         raise ValueError(f"token tensor must be non-empty, got shape {x.shape}")
-    return x.mean(axis=1)
+    return x.sum(axis=1) / x.shape[1]
 
 
 def z_normalize(a) -> np.ndarray:
@@ -76,7 +73,7 @@ def z_normalize(a) -> np.ndarray:
     if np.all(a == a[0]):
         return np.zeros_like(a)
     # population std summed in np.std's order, so the bits match a.std()
-    dev = a - a.mean()
+    dev = a - a.sum() / a.size
     sigma = np.sqrt((dev * dev).sum() / a.size)
     if sigma == 0.0:
         return np.zeros_like(a)
@@ -105,5 +102,4 @@ def spatial_scores(x, w, row_convention: bool = False) -> SpatialScores:
     """Full score pipeline over a token tensor and a weight matrix."""
     x = as_matrix(x)
     z = z_normalize(global_attribute(x))
-    raw = local_moran(z, w, row_convention=row_convention)
-    return SpatialScores.from_values(z_normalize(raw), raw)
+    return SpatialScores.from_values(z_normalize(local_moran(z, w, row_convention=row_convention)))

@@ -279,11 +279,10 @@ def mhsa(x, w: AttnWeights, heads: int, lanes: Lanes = SERIAL) -> AttentionOutpu
     features = attended @ w.wo
     features += w.bo
     features += x
-    return AttentionOutput(
-        features=features,
-        mean_attention=maps.mean(axis=0),
-        per_head=maps,
-    )
+    # ndarray.mean's add.reduce and in-place divide, bitwise, without its wrapper
+    mean_attention = maps.sum(axis=0)
+    mean_attention /= heads
+    return AttentionOutput(features=features, mean_attention=mean_attention, per_head=maps)
 
 
 def ffn(x, w: FfnWeights, lanes: Lanes = SERIAL) -> np.ndarray:

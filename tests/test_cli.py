@@ -73,6 +73,16 @@ class TestExitCodes:
                       "--values", "1.0,zap")
         assert res.returncode == 1
 
+    @pytest.mark.parametrize("values,message", [
+        ("abc", "--values must be comma-separated numbers"),
+        (",", "--values is empty"),
+    ])
+    def test_sweep_values_usage_message(self, model_path, values, message):
+        res = run_cli("sweep", "--model", model_path, "--param", "alpha", "--values", values)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == f"satavit sweep: error: {message}\n"
+
     def test_multiple_images_on_forward_is_one(self, model_path):
         res = run_cli("forward", "--model", model_path,
                       "--image", "a.f64", "--image", "b.f64")

@@ -7,7 +7,12 @@ import pytest
 from satavit import ModelConfig
 from satavit.modelio import (
     ChecksumError,
+    Model,
     SchemaError,
+    attn_view,
+    embed_view,
+    ffn_view,
+    head_view,
     load_model,
     model_checksum,
     random_init,
@@ -17,6 +22,66 @@ from satavit.modelio import (
 from satavit.rng import SplitMix64
 
 CFG = ModelConfig(depth=2, dim=8, heads=2, patch=2, image=8, num_classes=4)
+
+# the blob layout of CFG, written out: a reordered or renamed tensor changes it
+CFG_SCHEMA = [
+    ("patch_embed.weight", (4, 8)),
+    ("patch_embed.bias", (8,)),
+    ("class_token", (8,)),
+    ("pos_embed", (17, 8)),
+    *[
+        entry
+        for i in range(2)
+        for entry in [
+            (f"block{i}.ln1.gain", (8,)),
+            (f"block{i}.ln1.bias", (8,)),
+            (f"block{i}.attn.wq", (8, 8)),
+            (f"block{i}.attn.bq", (8,)),
+            (f"block{i}.attn.wk", (8, 8)),
+            (f"block{i}.attn.bk", (8,)),
+            (f"block{i}.attn.wv", (8, 8)),
+            (f"block{i}.attn.bv", (8,)),
+            (f"block{i}.attn.wo", (8, 8)),
+            (f"block{i}.attn.bo", (8,)),
+            (f"block{i}.ln2.gain", (8,)),
+            (f"block{i}.ln2.bias", (8,)),
+            (f"block{i}.ffn.w1", (8, 32)),
+            (f"block{i}.ffn.b1", (32,)),
+            (f"block{i}.ffn.w2", (32, 8)),
+            (f"block{i}.ffn.b2", (8,)),
+        ]
+    ],
+    ("final_norm.gain", (8,)),
+    ("final_norm.bias", (8,)),
+    ("head.weight", (8, 4)),
+    ("head.bias", (4,)),
+]
+
+# each weights object's fields and the tensor names they hold, block i
+ATTN_NAMES = {"ln_gain": "block{i}.ln1.gain", "ln_bias": "block{i}.ln1.bias",
+              "wq": "block{i}.attn.wq", "bq": "block{i}.attn.bq",
+              "wk": "block{i}.attn.wk", "bk": "block{i}.attn.bk",
+              "wv": "block{i}.attn.wv", "bv": "block{i}.attn.bv",
+              "wo": "block{i}.attn.wo", "bo": "block{i}.attn.bo"}
+FFN_NAMES = {"ln_gain": "block{i}.ln2.gain", "ln_bias": "block{i}.ln2.bias",
+             "w1": "block{i}.ffn.w1", "b1": "block{i}.ffn.b1",
+             "w2": "block{i}.ffn.w2", "b2": "block{i}.ffn.b2"}
+EMBED_NAMES = {"weight": "patch_embed.weight", "bias": "patch_embed.bias",
+               "class_token": "class_token", "pos_embed": "pos_embed"}
+HEAD_NAMES = {"ln_gain": "final_norm.gain", "ln_bias": "final_norm.bias",
+              "weight": "head.weight", "bias": "head.bias"}
+
+
+def resolved_pairs(model):
+    """(array held by a weights object, the tensor name it must be) for every field."""
+    views = [(embed_view(model), EMBED_NAMES, None), (head_view(model), HEAD_NAMES, None)]
+    for i in range(model.config.depth):
+        views += [(attn_view(model, i), ATTN_NAMES, i), (ffn_view(model, i), FFN_NAMES, i)]
+    return [
+        (getattr(view, field), name.format(i=i))
+        for view, names, i in views
+        for field, name in names.items()
+    ]
 
 
 def scalar_splitmix64(seed, n):
@@ -62,6 +127,71 @@ class TestSplitMix64:
         a = g.spawn(0).next_uint64(4).tolist()
         b = g.spawn(1).next_uint64(4).tolist()
         assert a != b
+
+
+class TestLayout:
+    def test_schema_is_the_written_layout(self):
+        assert tensor_schema(CFG) == CFG_SCHEMA
+
+    def test_random_init_draws_schema_order_from_one_stream(self):
+        model = random_init(CFG, 9)
+        gen = SplitMix64(9)
+        for name, shape in CFG_SCHEMA:
+            if name.endswith((".ln1.gain", ".ln2.gain", "final_norm.gain")):
+                want = np.ones(shape)
+            elif name.endswith((".ln1.bias", ".ln2.bias", "final_norm.bias")):
+                want = np.zeros(shape)
+            else:
+                want = (gen.normal(int(np.prod(shape))) * (1.0 / np.sqrt(8.0))).reshape(shape)
+            got = model.params[name]
+            assert got.shape == shape and got.tobytes() == want.tobytes(), name
+
+    def test_blob_is_tensors_in_schema_order(self, tmp_path):
+        model = random_init(CFG, 9)
+        save_model(model, tmp_path / "m")
+        manifest = json.loads((tmp_path / "m.manifest.json").read_text())
+        want = b"".join(model.params[name].astype("<f8").tobytes() for name, _ in CFG_SCHEMA)
+        assert (tmp_path / "m.weights.bin").read_bytes() == want
+        assert [(e["name"], tuple(e["shape"])) for e in manifest["tensors"]] == CFG_SCHEMA
+
+
+class TestResolvedWeights:
+    def test_views_hold_the_params_arrays(self):
+        model = random_init(CFG, 3)
+        pairs = resolved_pairs(model)
+        assert len(pairs) == len(CFG_SCHEMA)
+        for arr, name in pairs:
+            assert arr is model.params[name], name
+
+    def test_views_return_the_same_object_every_call(self):
+        model = random_init(CFG, 3)
+        assert embed_view(model) is embed_view(model)
+        assert head_view(model) is head_view(model)
+        for i in range(CFG.depth):
+            assert attn_view(model, i) is attn_view(model, i)
+            assert ffn_view(model, i) is ffn_view(model, i)
+
+    def test_loaded_views_are_read_only(self, tmp_path):
+        save_model(random_init(CFG, 3), tmp_path / "m")
+        loaded = load_model(tmp_path / "m")
+        for arr, name in resolved_pairs(loaded):
+            assert arr is loaded.params[name] and not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            ffn_view(loaded, 1).w1[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            attn_view(loaded, 0).wq = np.zeros((8, 8))
+
+    def test_missing_tensor_fails_at_construction(self):
+        params = dict(random_init(CFG, 3).params)
+        del params["block1.ffn.b2"]
+        with pytest.raises(SchemaError, match="block1.ffn.b2"):
+            Model(config=CFG, params=params)
+
+    def test_misshapen_tensor_fails_at_construction(self):
+        params = dict(random_init(CFG, 3).params)
+        params["block0.attn.wk"] = np.zeros((8, 4))
+        with pytest.raises(SchemaError, match="block0.attn.wk"):
+            Model(config=CFG, params=params)
 
 
 class TestRandomInit:

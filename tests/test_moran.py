@@ -29,6 +29,11 @@ class TestGlobalAttribute:
         with pytest.raises(ValueError):
             global_attribute(np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 3), (17, 32), (65, 192), (197, 384)])
+    def test_bitwise_equal_to_mean(self, n, d):
+        x = np.random.default_rng(n + d).normal(size=(n, d)) * 10 + 3
+        assert np.array_equal(global_attribute(x), x.mean(axis=1))
+
 
 class TestZNormalize:
     def test_three_point(self):
@@ -123,7 +128,8 @@ class TestSpatialScores:
                 want, want_raw = naive_scores(x, w, row_convention=rc)
                 got = spatial_scores(x, w, row_convention=rc)
                 assert np.max(np.abs(got.s - want)) < 1e-9
-                assert np.max(np.abs(got.raw_i - want_raw)) < 1e-9
+                raw = local_moran(z_normalize(global_attribute(x)), w, rc)
+                assert np.max(np.abs(raw - want_raw)) < 1e-9
 
     def test_score_moments(self):
         rng = np.random.default_rng(8)
@@ -171,5 +177,6 @@ class TestSpatialScores:
         rnd.shuffle(shuffled)
         a = SpatialScores.from_values(values)
         b = SpatialScores.from_values(shuffled)
+        assert a.mean_s == float(np.mean(values))
         assert np.allclose([a.mean_s, a.abs_median_s], [b.mean_s, b.abs_median_s],
                            rtol=1e-12, atol=1e-9)

@@ -295,6 +295,7 @@ class TestMhsa:
         features, mean_attention, per_head = loop_mhsa(x, w, heads)
         assert np.array_equal(out.features, features)
         assert np.array_equal(out.mean_attention, mean_attention)
+        assert np.array_equal(out.mean_attention, out.per_head.mean(axis=0))
         assert np.array_equal(out.per_head, per_head)
 
     def test_leaves_arguments_untouched(self):
