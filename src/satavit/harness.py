@@ -9,10 +9,10 @@ reporting FLOPs against logit drift.
 Reports return records or rows and write nothing; ``write_csv`` and
 ``render_csv`` turn rows into CSV, deterministic given seeds: UTF-8,
 LF line endings, floats formatted with %.9g, integers bare.  A
-report's forwards are independent; ``parallel.pool_map`` runs them on
-a thread pool where that pays (see ``parallel.workers``) and returns
-them in order, so every reduction sums in the serial order and the
-CSVs do not depend on the pool.
+report's forwards are independent; ``parallel.run`` runs them on the
+calling thread and a thread pool where that pays (see
+``parallel.workers``) and returns them in order, so every reduction
+sums in the serial order and the CSVs do not depend on the pool.
 """
 
 from __future__ import annotations
@@ -182,6 +182,8 @@ def _read_netpbm(path: Path) -> np.ndarray:
     width = header_field("width")
     height = header_field("height")
     maxval = header_field("maxval")
+    if maxval > 65535:
+        raise ValueError(f"{path}: netpbm maxval must be at most 65535, got {maxval}")
     channels = 3 if magic in ("P3", "P6") else 1
     count = width * height * channels
 
@@ -288,8 +290,8 @@ def _stability(model: Model, image, specs, cfg: ModelConfig) -> list[StabilityRe
     its cosines bit for bit (a -0.0 keeps its sign).  Without specs the
     clean traces are compared with themselves.
     """
-    clean, *corrupted = parallel.pool_map(
-        lambda sp: _block_traces(model, image, sp, cfg), [None, *specs], cfg
+    clean, *corrupted = parallel.run(
+        lambda sp: _block_traces(model, image, sp, cfg), [None, *specs], parallel.workers(cfg)
     )
     deltas = [
         np.array([
@@ -364,8 +366,8 @@ def stats_report(model: Model, images, cfg: ModelConfig | None = None) -> list[l
     depth = run_cfg.depth
     sums = np.zeros((depth, len(_STATS_COLUMNS)))
     hists = np.zeros((depth, HIST_BINS), dtype=np.int64)
-    per_image = parallel.pool_map(
-        lambda image: forward(image, model, cfg=run_cfg)[1], images, run_cfg
+    per_image = parallel.run(
+        lambda image: forward(image, model, cfg=run_cfg)[1], images, parallel.workers(run_cfg)
     )
     for traces in per_image:  # summed in image order
         sums += [
@@ -444,8 +446,9 @@ def sweep(
         for value in values
     ]
     starts = sorted({c.sata_start_block for c in run_cfgs})
-    baselines = parallel.pool_map(
-        lambda img: _stage_off_segments(model, img, baseline_cfg, starts), images, base_cfg
+    count = parallel.workers(base_cfg)
+    baselines = parallel.run(
+        lambda img: _stage_off_segments(model, img, baseline_cfg, starts), images, count
     )
 
     def run_tail(job):
@@ -461,9 +464,7 @@ def sweep(
             [tr.ffn_tokens for tr in traces],
         )
 
-    tails = parallel.pool_map(
-        run_tail, [(c, b) for c in run_cfgs for b in baselines], base_cfg
-    )
+    tails = parallel.run(run_tail, [(c, b) for c in run_cfgs for b in baselines], count)
     n = len(images)
     records = []
     for k, run_cfg in enumerate(run_cfgs):

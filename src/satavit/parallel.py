@@ -1,16 +1,18 @@
 """One rule for running a model's independent work on several CPUs.
 
-Two kinds of work follow it.  A harness report's independent forwards
-go through :func:`pool_map`; inside one forward, each block splits its
-two largest steps into :class:`Lanes` (head groups from the Q/K/V
+Two kinds of work follow it, both through :func:`run`, an ordered map
+that runs its items on the calling thread and on helpers from one
+persistent thread pool (started on first use): a harness report's
+independent forwards, and inside one forward each block's two largest
+steps, split into :class:`Lanes` (head groups from the Q/K/V
 projections to the attended values, token rows for the whole FFN).
 :func:`workers` decides how many threads either may use; it reads only
 the environment and the model's shape, so there is no option to set.
 
-Both run on one persistent thread pool, started on first use.  Work
-running on a pool thread never uses the pool again: a report's
+One rule stops nesting: while a thread runs an item of :func:`run`,
+every ``run`` and :func:`lanes` inside that item is serial.  A report's
 forwards run their lanes inline, so the CPUs are never oversubscribed
-and no pool thread waits on a task queued behind it.
+and no pool thread waits on work queued behind it.
 
 Every partition is fixed by the sizes alone and every part writes its
 own rows or heads, so results do not depend on the thread count (see
@@ -19,12 +21,13 @@ own rows or heads, so results do not depend on the thread count (see
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
-__all__ = ["workers", "pool_map", "Lanes", "SERIAL", "lanes"]
+__all__ = ["workers", "run", "Lanes", "SERIAL", "lanes"]
 
 # 2-thread/serial time, averaged report, 2 CPUs: 1.28x at 9.6M (d96), 0.84-1.15x at 17M (d128)
 _POOL_MIN_FFN_FLOPS = 10_000_000
@@ -40,7 +43,7 @@ _SMALL_GEMM_MNK = 100**3
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
-_pool_thread = threading.local()
+_in_item = threading.local()
 
 
 def _cpus() -> int:
@@ -69,54 +72,55 @@ def workers(cfg, min_ffn_flops: int = _POOL_MIN_FFN_FLOPS) -> int:
     return _cpus()
 
 
-def _mark_pool_thread() -> None:
-    _pool_thread.active = True
-
-
-def _on_pool_thread() -> bool:
-    return getattr(_pool_thread, "active", False)
-
-
 def _executor() -> ThreadPoolExecutor:
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(
-                max_workers=_cpus(), thread_name_prefix="satavit",
-                initializer=_mark_pool_thread,
-            )
+            _pool = ThreadPoolExecutor(max_workers=max(1, _cpus() - 1),  # + the caller
+                                       thread_name_prefix="satavit")
         return _pool
 
 
-def _results(futures) -> list:
-    """Each future's result in order; on the first failure, cancel and
-    wait for the rest, then raise it."""
-    try:
-        return [f.result() for f in futures]
-    except BaseException:
-        _abandon(futures)
-        raise
+def run(fn, items, count: int) -> list:
+    """``[fn(item) for item in items]`` on the caller and up to ``count - 1`` pool threads.
 
-
-def _abandon(futures) -> None:
-    for f in futures:
-        f.cancel()
-    wait(futures)
-
-
-def pool_map(fn, items, cfg) -> list:
-    """``[fn(item) for item in items]``, on the pool when ``workers(cfg)`` is above 1.
-
-    Results keep the order of ``items``, so callers reduce them in the
-    serial order and their sums are bitwise the same; the first task
-    exception (in item order) reaches the caller.  On a pool thread it
-    runs serially.
+    Each worker takes the next item index from one shared counter and
+    stores its result by index, so results keep the order of ``items``
+    and callers reduce them in the serial order.  While a thread runs
+    an item, every ``run`` and ``lanes`` inside it is serial.  Once the
+    caller runs out of items it cancels every helper not yet started, so
+    a slow-to-wake pool costs about the serial time.  After a failure no
+    item is taken; when every taken item has finished, the failure with
+    the lowest index raises.
     """
     items = list(items)
-    if _on_pool_thread() or min(workers(cfg), len(items)) <= 1:
+    helpers = min(count, len(items)) - 1
+    if helpers < 1 or getattr(_in_item, "active", False):
         return [fn(item) for item in items]
+    results, failures = [None] * len(items), {}
+    taken = itertools.count()  # one C call per next(), atomic under the GIL
+
+    def work():
+        _in_item.active = True
+        try:
+            while not failures and (i := next(taken)) < len(items):
+                try:
+                    results[i] = fn(items[i])
+                except BaseException as exc:
+                    failures[i] = exc
+        finally:
+            _in_item.active = False
+
     pool = _executor()
-    return _results([pool.submit(fn, item) for item in items])
+    futures = [pool.submit(work) for _ in range(helpers)]
+    try:
+        work()
+    finally:
+        # a cancelled future counts as done for wait() only once a pool thread dequeues it
+        wait([f for f in futures if not f.cancel()])
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def _split(n: int, parts: int) -> list[slice]:
@@ -158,33 +162,11 @@ class Lanes:
         min_units = -(-min_lines // lines)
         return _split(units, max(1, min(self.count, units // min_units)))
 
-    def run(self, fn, parts) -> list:
-        """``[fn(part) for part in parts]``: the first part on the calling
-        thread, the others on the pool.
-
-        A part no pool thread has started by the time the caller gets
-        to it runs on the caller, so a slow-to-wake pool costs at most
-        the serial time.  Every part has finished when this returns or
-        raises; the first failing part in order raises.
-        """
-        if len(parts) == 1:
-            return [fn(parts[0])]
-        pool = _executor()
-        futures = [pool.submit(fn, part) for part in parts[1:]]
-        try:
-            results = [fn(parts[0])]
-            for future, part in zip(futures, parts[1:]):
-                results.append(fn(part) if future.cancel() else future.result())
-        except BaseException:
-            _abandon(futures)
-            raise
-        return results
-
 
 SERIAL = Lanes()
 
 
 def lanes(cfg) -> Lanes:
-    """The lanes of one forward: ``workers`` of them, but 1 on a pool thread."""
-    count = 1 if _on_pool_thread() else workers(cfg, _LANE_MIN_FFN_FLOPS)
+    """The lanes of one forward: ``workers`` of them, but 1 inside a :func:`run` item."""
+    count = 1 if getattr(_in_item, "active", False) else workers(cfg, _LANE_MIN_FFN_FLOPS)
     return SERIAL if count == 1 else Lanes(count)

@@ -195,12 +195,7 @@ def ffn_flops(n_tokens: int, d: int, hidden: int) -> int:
 
 def moran_weights(attn: AttentionOutput, cfg: ModelConfig) -> np.ndarray:
     """Patch-restricted closeness matrix from the attention maps."""
-    if cfg.attention_reduce == "max":
-        if attn.per_head is None:
-            raise ValueError("per-head attention maps required for max reduction")
-        full = attn.per_head.max(axis=0)
-    else:
-        full = attn.mean_attention
+    full = attn.per_head.max(axis=0) if cfg.attention_reduce == "max" else attn.mean_attention
     return full[1:, 1:]
 
 

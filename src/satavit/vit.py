@@ -10,11 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from numbers import Integral, Real
-from typing import Optional
 
 import numpy as np
 
-from .parallel import SERIAL, Lanes
+from .parallel import SERIAL, Lanes, run
 from .tensorops import as_matrix, gelu, layer_norm, row_softmax
 
 __all__ = [
@@ -196,7 +195,7 @@ class AttentionOutput:
 
     features: np.ndarray  # (num_tokens, dim), x + projected attention
     mean_attention: np.ndarray  # (num_tokens, num_tokens), head average
-    per_head: Optional[np.ndarray] = None  # (heads, num_tokens, num_tokens)
+    per_head: np.ndarray  # (heads, num_tokens, num_tokens)
 
 
 def patch_embed(image, w: EmbedWeights, cfg: ModelConfig) -> np.ndarray:
@@ -274,7 +273,7 @@ def mhsa(x, w: AttnWeights, heads: int, lanes: Lanes = SERIAL) -> AttentionOutpu
         np.matmul(maps, vh, out=ah[group])
         return maps
 
-    groups = lanes.run(attend, lanes.heads(heads, n, d))
+    groups = run(attend, lanes.heads(heads, n, d), lanes.count)
     maps = groups[0] if len(groups) == 1 else np.concatenate(groups)
     features = attended @ w.wo
     features += w.bo
@@ -310,5 +309,5 @@ def ffn(x, w: FfnWeights, lanes: Lanes = SERIAL) -> np.ndarray:
         np.matmul(gelu(h), w.w2, out=part)
         part += w.b2
 
-    lanes.run(ffn_rows, lanes.rows(n, d, w.w1.shape[1]))
+    run(ffn_rows, lanes.rows(n, d, w.w1.shape[1]), lanes.count)
     return out

@@ -315,8 +315,11 @@ class TestImageInput:
         (b"P2 abc 8 3\n" + b"1 " * 64, "width"),
         (b"P2 8 8 3\n" + b"1 2.5 " * 32, "sample '2.5'"),
         (b"P5\n8 8\n255\n" + bytes(10), "body"),
+        (b"P5\n8 8\n70000\n" + bytes(128), "maxval must be at most 65535"),
+        (b"P2 8 8 99999999999999999999\n" + b"1 " * 64, "maxval must be at most 65535"),
     ], ids=["sample-above-maxval", "negative-width", "non-integer-width",
-            "non-integer-sample", "truncated-p5-body"])
+            "non-integer-sample", "truncated-p5-body", "p5-maxval-above-65535",
+            "p2-huge-maxval"])
     def test_bad_netpbm_exits_two_naming_file_and_field(self, capsys, model_path, tmp_path,
                                                         body, field):
         path = tmp_path / "img.pgm"

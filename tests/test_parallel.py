@@ -9,6 +9,7 @@ the lanes read.
 import dataclasses
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -207,7 +208,17 @@ class TestRule:
             assert (flops >= parallel._LANE_MIN_FFN_FLOPS) == (cfg is VIT_S)
 
     def test_serial_on_a_pool_thread(self, pinned):
-        assert parallel._executor().submit(parallel.lanes, VIT_S).result() == SERIAL
+        both_running = threading.Barrier(2, timeout=30)  # so a helper takes an item
+
+        def item(i):
+            both_running.wait()
+            return threading.get_ident(), parallel.lanes(VIT_S)
+
+        seen = parallel.run(item, [0, 1], 2)
+        threads = {ident for ident, _ in seen}
+        assert threading.get_ident() in threads and len(threads) == 2  # caller and helper
+        assert all(lanes == SERIAL for _, lanes in seen)
+        assert parallel.lanes(VIT_S) == Lanes(parallel._cpus())  # cleared after the run
 
     def test_unpinned_blas_keeps_lanes_off(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
@@ -237,15 +248,12 @@ class TestNoNesting:
         monkeypatch.setattr(vit, "gelu", recorded_gelu)
         force_workers(monkeypatch, 2)
         averaged_stability_report(pool_model, random_image(POOL_CFG, 1), seed=0)
-        assert threading.get_ident() not in task_threads  # every forward ran on the pool
         assert len(task_threads) > 1
         assert gelu_calls and all(gelu_calls)  # each on the thread running its forward
 
-    def test_nested_pool_map_runs_inline(self, pool_model, monkeypatch):
-        force_workers(monkeypatch, 2)
-        outer = parallel.pool_map(
-            lambda i: parallel.pool_map(lambda j: threading.get_ident(), [0, 1], POOL_CFG),
-            [0, 1, 2], POOL_CFG)
+    def test_nested_run_runs_inline(self):
+        outer = parallel.run(
+            lambda i: parallel.run(lambda j: threading.get_ident(), [0, 1], 2), [0, 1, 2], 2)
         assert all(len(set(inner)) == 1 for inner in outer)
 
 
@@ -296,11 +304,47 @@ class TestLaneErrors:
             return i
 
         with pytest.raises(FloatingPointError, match=f"part {failing}"):
-            Lanes(3).run(part, [0, 1, 2])
+            parallel.run(part, [0, 1, 2], 3)
         assert sorted(finished) == list(range(failing))
 
+    def test_a_busy_pool_leaves_the_caller_to_run_every_item(self):
+        release = threading.Event()
+        pool = parallel._executor()
+        blockers = [pool.submit(release.wait, 30) for _ in range(pool._max_workers)]
+        threads = []
+
+        def item(i):
+            threads.append(threading.get_ident())
+            return i * i
+
+        try:
+            assert parallel.run(item, range(6), 2) == [0, 1, 4, 9, 16, 25]
+            assert not any(b.done() for b in blockers)  # returned while the pool was blocked
+        finally:
+            release.set()
+        for blocker in blockers:
+            blocker.result()
+        assert threads == [threading.get_ident()] * 6  # the cancelled helper never ran
+
+    @pytest.mark.parametrize("count", [2, parallel._cpus() + 2])
+    def test_at_most_count_items_in_flight(self, count):
+        lock = threading.Lock()
+        running, peak = [0], [0]
+
+        def item(i):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.002)
+            with lock:
+                running[0] -= 1
+            return i
+
+        assert parallel.run(item, range(4 * count), count) == list(range(4 * count))
+        assert 1 <= peak[0] <= min(count, parallel._cpus())
+
     def test_run_keeps_part_order(self):
-        assert Lanes(4).run(lambda i: i * i, [0, 1, 2, 3, 4]) == [0, 1, 4, 9, 16]
+        assert parallel.run(lambda i: i * i, [0, 1, 2, 3, 4], 4) == [0, 1, 4, 9, 16]
 
 
 def test_import_starts_no_thread():
