@@ -209,8 +209,7 @@ def _cmd_flops(args) -> int:
     _emit(args.out, ["block", "ffn_tokens", "ffn_flops"], rows)
     print(f"ffn_flops_total: {total}", file=sys.stderr)
     print(f"ffn_flops_vanilla: {vanilla}", file=sys.stderr)
-    ratio = total / vanilla if vanilla else 1.0
-    print(f"ratio: {format(ratio, '.9g')}", file=sys.stderr)
+    print(f"ratio: {format(total / vanilla, '.9g')}", file=sys.stderr)
     return 0
 
 
@@ -244,7 +243,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"satavit {args.command}: error: {exc}\n")
         return 1
-    except (OSError, ValueError, FloatingPointError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, FloatingPointError) as exc:
         sys.stderr.write(f"satavit {args.command}: error: {exc}\n")
         return 2
 

@@ -491,9 +491,7 @@ def sweep(
 # selftest: built-in oracle suites
 
 
-def _naive_spatial_scores(
-    x: np.ndarray, w: np.ndarray, row_convention: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def _naive_spatial_scores(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Straight-line reference for the score pipeline (plain Python loops).
 
     Returns the scores ``s`` and the raw local Moran values.
@@ -516,7 +514,7 @@ def _naive_spatial_scores(
     for i in range(n):
         acc = 0.0
         for j in range(n):
-            acc += z[j] * (float(w[i, j]) if row_convention else float(w[j, i]))
+            acc += z[j] * float(w[j, i])
         raw.append(z[i] * acc)
     return np.array(znorm(raw)), np.array(raw)
 

@@ -13,7 +13,7 @@ runs over the FIRST index of W:
 
 For a symmetric W this coincides with the textbook row convention
 z[i] * sum_j W[i, j] z[j]; for asymmetric attention-derived weights the
-two differ, and ``row_convention=True`` switches to the latter.
+two differ, and the stage uses the column form above.
 """
 
 from __future__ import annotations
@@ -80,12 +80,11 @@ def z_normalize(a) -> np.ndarray:
     return dev / sigma
 
 
-def local_moran(z, w, row_convention: bool = False) -> np.ndarray:
+def local_moran(z, w) -> np.ndarray:
     """diag(z z^t W) without materializing the N x N outer product.
 
     Contracting the weight column first keeps the cost at O(N^2):
-    I = z * (W^t z).  With ``row_convention`` the contraction runs over
-    the second index instead: I = z * (W z).
+    I = z * (W^t z).
     """
     z = np.asarray(z, dtype=np.float64).ravel()
     w = as_matrix(w)
@@ -94,12 +93,11 @@ def local_moran(z, w, row_convention: bool = False) -> np.ndarray:
         raise ValueError(
             f"weight matrix shape {w.shape} does not match {n} attribute values"
         )
-    contracted = w @ z if row_convention else w.T @ z
-    return z * contracted
+    return z * (w.T @ z)
 
 
-def spatial_scores(x, w, row_convention: bool = False) -> SpatialScores:
+def spatial_scores(x, w) -> SpatialScores:
     """Full score pipeline over a token tensor and a weight matrix."""
     x = as_matrix(x)
     z = z_normalize(global_attribute(x))
-    return SpatialScores.from_values(z_normalize(local_moran(z, w, row_convention=row_convention)))
+    return SpatialScores.from_values(z_normalize(local_moran(z, w)))

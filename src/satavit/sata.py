@@ -106,12 +106,12 @@ def _unit_rows(f: np.ndarray) -> np.ndarray:
     return np.divide(f, norms, out=np.zeros_like(f), where=norms > 0)
 
 
-def bipartite_match(set_a, features, metric: str = "cosine") -> MergePlan:
+def bipartite_match(set_a, features) -> MergePlan:
     """One-edge-per-source matching between alternating halves of set_a.
 
     Sources are the even positions of set_a's order, targets the odd
-    positions.  Each source connects to its most similar target
-    (argmax similarity, ties to the lowest token index); a target plus
+    positions.  Each source connects to its most similar target (argmax
+    cosine similarity, ties to the lowest token index); a target plus
     its sources merge into a group represented by the unweighted mean
     of their feature rows.  Targets without edges become residuals.
     A set with fewer than two members yields an empty plan, the lone
@@ -119,8 +119,6 @@ def bipartite_match(set_a, features, metric: str = "cosine") -> MergePlan:
     """
     set_a = np.asarray(set_a, dtype=np.int64).ravel()
     features = as_matrix(features)
-    if metric not in ("cosine", "dot"):
-        raise ValueError(f"unknown match metric {metric!r}")
 
     if set_a.size <= 1:
         none = np.empty(0, dtype=np.int64)
@@ -138,17 +136,14 @@ def bipartite_match(set_a, features, metric: str = "cosine") -> MergePlan:
     a2 = set_a[1::2]
     f1 = features[a1]
     f2 = features[a2]
-    if metric == "cosine":
-        sim = _unit_rows(f1) @ _unit_rows(f2).T
-        # all-zero rows have unit 0; a zero source against a zero target
-        # counts as identical (similarity 1), matching the package-wide
-        # cosine convention
-        zero1 = np.all(f1 == 0.0, axis=1)
-        zero2 = np.all(f2 == 0.0, axis=1)
-        if zero1.any() and zero2.any():
-            sim[np.ix_(zero1, zero2)] = 1.0
-    else:
-        sim = f1 @ f2.T
+    sim = _unit_rows(f1) @ _unit_rows(f2).T
+    # all-zero rows have unit 0; a zero source against a zero target
+    # counts as identical (similarity 1), matching the package-wide
+    # cosine convention
+    zero1 = np.all(f1 == 0.0, axis=1)
+    zero2 = np.all(f2 == 0.0, axis=1)
+    if zero1.any() and zero2.any():
+        sim[np.ix_(zero1, zero2)] = 1.0
 
     # argmax returns the first maximum; a2 is ascending, so ties resolve
     # to the lowest token index
@@ -193,12 +188,6 @@ def ffn_flops(n_tokens: int, d: int, hidden: int) -> int:
     return 2 * n_tokens * (d * hidden + hidden * d)
 
 
-def moran_weights(attn: AttentionOutput, cfg: ModelConfig) -> np.ndarray:
-    """Patch-restricted closeness matrix from the attention maps."""
-    full = attn.per_head.max(axis=0) if cfg.attention_reduce == "max" else attn.mean_attention
-    return full[1:, 1:]
-
-
 def sata_stage(
     x,
     attn: AttentionOutput,
@@ -232,9 +221,7 @@ def sata_stage(
         )
 
     patches = x[1:]
-    scores = spatial_scores(
-        patches, moran_weights(attn, cfg), row_convention=cfg.moran_row_convention
-    )
+    scores = spatial_scores(patches, attn.mean_attention[1:, 1:])
     split = split_tokens(scores, cfg.alpha)
     if not merge:
         out = ffn(x, ffn_weights, lanes)
@@ -242,7 +229,7 @@ def sata_stage(
         n_a, n_b, n_groups, n_tokens = 0, n_all - 1, 0, n_all
         residuals = np.empty(0, dtype=np.int64)
     else:
-        plan = bipartite_match(split.set_a, patches, metric=cfg.match_metric)
+        plan = bipartite_match(split.set_a, patches)
         ffn_in = np.concatenate([x[:1], patches[split.set_b], plan.representatives], axis=0)
         deltas = ffn(ffn_in, ffn_weights, lanes)
 

@@ -32,7 +32,14 @@ LN_EPS = 1e-6
 
 _INT_FIELDS = ("depth", "dim", "heads", "patch", "image", "num_classes", "channels")
 _FLOAT_FIELDS = ("ffn_ratio", "gamma", "alpha")
-_BOOL_FIELDS = ("sata_enabled", "moran_row_convention")
+_BOOL_FIELDS = ("sata_enabled",)
+# fields of earlier manifests, loadable only at the one value the stage now
+# always uses (head-averaged attention, cosine matching, column contraction)
+_RETIRED_FIELDS = {
+    "attention_reduce": "mean",
+    "match_metric": "cosine",
+    "moran_row_convention": False,
+}
 
 
 @dataclass(frozen=True)
@@ -55,9 +62,6 @@ class ModelConfig:
     gamma: float = 0.7
     alpha: float = 1.0
     sata_enabled: bool = True
-    attention_reduce: str = "mean"
-    match_metric: str = "cosine"
-    moran_row_convention: bool = False
 
     def __post_init__(self):
         self._check_types()
@@ -82,10 +86,6 @@ class ModelConfig:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.hidden < 1:
             raise ValueError(f"ffn_ratio {self.ffn_ratio} gives an empty hidden layer")
-        if self.attention_reduce not in ("mean", "max"):
-            raise ValueError(f"attention_reduce must be 'mean' or 'max', got {self.attention_reduce!r}")
-        if self.match_metric not in ("cosine", "dot"):
-            raise ValueError(f"match_metric must be 'cosine' or 'dot', got {self.match_metric!r}")
 
     def _check_types(self) -> None:
         """Reject wrongly typed or non-finite fields before any comparison."""
@@ -142,6 +142,14 @@ class ModelConfig:
     def from_dict(cls, d: dict) -> "ModelConfig":
         if not isinstance(d, dict):
             raise ValueError(f"model config must be a JSON object, got {type(d).__name__}")
+        for name, old in _RETIRED_FIELDS.items():
+            v = d.get(name, old)
+            if type(v) is not type(old) or v != old:
+                raise ValueError(
+                    f"config field {name!r} is retired and only its old default {old!r} "
+                    f"is accepted, got {type(v).__name__} {v!r}"
+                )
+        d = {k: v for k, v in d.items() if k not in _RETIRED_FIELDS}
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(d) - known
         if unknown:

@@ -293,6 +293,45 @@ class TestMalformedManifest:
         assert "Traceback" not in err
 
 
+# config keys that earlier manifests carry, at the only value they may still hold
+RETIRED = {"attention_reduce": "mean", "match_metric": "cosine", "moran_row_convention": False}
+
+
+class TestRetiredConfigFields:
+    def test_old_manifest_loads_with_the_same_logits(self, capsys, model_path, tmp_path):
+        old = _broken_manifest_model(model_path, tmp_path, lambda m: m["config"].update(RETIRED))
+        code, want, _ = main_in_process(capsys, "forward", "--model", model_path)
+        assert code == 0
+        code, got, err = main_in_process(capsys, "forward", "--model", old)
+        assert code == 0, err
+        assert got == want
+
+    @pytest.mark.parametrize("field,value", [
+        ("match_metric", "dot"),
+        ("attention_reduce", "max"),
+        ("moran_row_convention", True),
+        ("moran_row_convention", 0),
+    ])
+    def test_non_default_value_exits_two_naming_it(self, capsys, model_path, tmp_path,
+                                                   field, value):
+        stem = _broken_manifest_model(model_path, tmp_path,
+                                      lambda m: m["config"].__setitem__(field, value))
+        code, out, err = main_in_process(capsys, "forward", "--model", stem)
+        assert code == 2
+        assert out == ""
+        assert repr(field) in err
+        assert "Traceback" not in err
+
+    def test_init_drops_the_retired_keys(self, capsys, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**CONFIG, **RETIRED}))
+        code, _, err = main_in_process(capsys, "init", "--model", tmp_path / "m",
+                                       "--config", cfg_path)
+        assert code == 0, err
+        manifest = json.loads((tmp_path / "m.manifest.json").read_text())
+        assert not set(RETIRED) & set(manifest["config"])
+
+
 class TestFlopsReport:
     def test_vanilla_total_matches_a_stage_off_forward(self, capsys, model_path):
         code, _, err = main_in_process(capsys, "flops", "--model", model_path, "--seed", 5)

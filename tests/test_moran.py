@@ -92,18 +92,6 @@ class TestLocalMoran:
             want = [z[i] * sum(z[j] * w[j, i] for j in range(n)) for i in range(n)]
             assert np.allclose(local_moran(z, w), want, atol=1e-12)
 
-    def test_row_convention_switch(self):
-        rng = np.random.default_rng(12)
-        z = rng.normal(size=5)
-        w = rng.normal(size=(5, 5))
-        lit = local_moran(z, w)
-        row = local_moran(z, w, row_convention=True)
-        assert not np.allclose(lit, row)  # asymmetric w: the conventions differ
-        assert np.allclose(row, local_moran(z, w.T), atol=1e-12)
-        sym = w + w.T
-        assert np.allclose(local_moran(z, sym), local_moran(z, sym, row_convention=True),
-                           atol=1e-12)
-
 
 class TestSpatialScores:
     def test_constant_tokens_degenerate(self):
@@ -124,12 +112,11 @@ class TestSpatialScores:
             d = int(rng.integers(1, 9))
             x = rng.normal(size=(n, d))
             w = rng.normal(size=(n, n))
-            for rc in (False, True):
-                want, want_raw = naive_scores(x, w, row_convention=rc)
-                got = spatial_scores(x, w, row_convention=rc)
-                assert np.max(np.abs(got.s - want)) < 1e-9
-                raw = local_moran(z_normalize(global_attribute(x)), w, rc)
-                assert np.max(np.abs(raw - want_raw)) < 1e-9
+            want, want_raw = naive_scores(x, w)
+            got = spatial_scores(x, w)
+            assert np.max(np.abs(got.s - want)) < 1e-9
+            raw = local_moran(z_normalize(global_attribute(x)), w)
+            assert np.max(np.abs(raw - want_raw)) < 1e-9
 
     def test_score_moments(self):
         rng = np.random.default_rng(8)

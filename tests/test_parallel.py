@@ -91,9 +91,7 @@ class TestLaneOracle:
     @pytest.mark.parametrize("overrides", [
         {},
         {"sata_enabled": False},
-        {"attention_reduce": "max"},
-        {"moran_row_convention": True},
-    ], ids=["stage-on", "stage-off", "max-reduce", "row-convention"])
+    ], ids=["stage-on", "stage-off"])
     def test_vit_ti_bitwise_at_2_to_4_lanes(self, vit_ti, monkeypatch, gelu_threads,
                                             overrides):
         cfg = VIT_TI.with_overrides(**overrides)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from satavit.harness import _naive_spatial_scores as naive_scores
 from satavit.moran import SpatialScores, spatial_scores
-from satavit.sata import bipartite_match, ffn_flops, moran_weights, sata_stage, split_tokens
+from satavit.sata import bipartite_match, ffn_flops, sata_stage, split_tokens
 from satavit.tensorops import row_softmax
 from satavit.vit import AttentionOutput, ModelConfig, ffn
 
@@ -113,7 +113,7 @@ class TestNaiveStageOracle:
             assert np.max(np.abs(got - want)) < 1e-9
 
 
-def loop_match(set_a, feats, metric="cosine"):
+def loop_match(set_a, feats):
     """Per-group matching as the stage computed it with one object per group.
 
     Returns (edges, groups, representatives, residuals); groups are
@@ -124,18 +124,16 @@ def loop_match(set_a, feats, metric="cosine"):
         return {}, [], [], set_a.tolist()
     a1, a2 = set_a[0::2], set_a[1::2]
     f1, f2 = feats[a1], feats[a2]
-    if metric == "cosine":
-        def unit(f):
-            norms = np.linalg.norm(f, axis=1, keepdims=True)
-            return np.divide(f, norms, out=np.zeros_like(f), where=norms > 0)
 
-        sim = unit(f1) @ unit(f2).T
-        zero1 = np.all(f1 == 0.0, axis=1)
-        zero2 = np.all(f2 == 0.0, axis=1)
-        if zero1.any() and zero2.any():
-            sim[np.ix_(zero1, zero2)] = 1.0
-    else:
-        sim = f1 @ f2.T
+    def unit(f):
+        norms = np.linalg.norm(f, axis=1, keepdims=True)
+        return np.divide(f, norms, out=np.zeros_like(f), where=norms > 0)
+
+    sim = unit(f1) @ unit(f2).T
+    zero1 = np.all(f1 == 0.0, axis=1)
+    zero2 = np.all(f2 == 0.0, axis=1)
+    if zero1.any() and zero2.any():
+        sim[np.ix_(zero1, zero2)] = 1.0
     choice = np.argmax(sim, axis=1)
     edges = {int(src): int(a2[j]) for src, j in zip(a1, choice)}
     sources_of = {}
@@ -157,10 +155,9 @@ def loop_stage(x, attn, cfg, fw):
     x = np.asarray(x, dtype=float)
     n_all, d = x.shape
     patches = x[1:]
-    scores = spatial_scores(
-        patches, moran_weights(attn, cfg), row_convention=cfg.moran_row_convention)
+    scores = spatial_scores(patches, attn.mean_attention[1:, 1:])
     split = split_tokens(scores, cfg.alpha)
-    _, groups, reps, residuals = loop_match(split.set_a, patches, cfg.match_metric)
+    _, groups, reps, residuals = loop_match(split.set_a, patches)
     reps = np.stack(reps) if reps else np.zeros((0, d))
     ffn_in = np.concatenate([x[:1], patches[split.set_b], reps], axis=0)
     deltas = ffn(ffn_in, fw)
@@ -181,9 +178,9 @@ def loop_stage(x, attn, cfg, fw):
     return out, fields
 
 
-def alpha_leaving_one_out(x, attn, cfg):
+def alpha_leaving_one_out(x, attn):
     """An alpha whose band holds every patch token but the most extreme one."""
-    scores = spatial_scores(x[1:], moran_weights(attn, cfg), row_convention=cfg.moran_row_convention)
+    scores = spatial_scores(x[1:], attn.mean_attention[1:, 1:])
     m, med = scores.mean_s, scores.abs_median_s
     # token i is in band iff alpha >= need[i]
     need = np.where(scores.s > 0, scores.s / (m + med), scores.s / (m - med))
@@ -219,15 +216,11 @@ class TestLoopReferenceBitwise:
         n, d = base.num_tokens, base.dim
         fw = make_ffn_weights(rng, d, base.hidden)
         seen_n_a = set()
-        for variant in (
-            dict(), dict(match_metric="dot"), dict(attention_reduce="max"),
-            dict(moran_row_convention=True), dict(alpha=0.3), dict(alpha=2.0),
-            dict(alpha=1e9), "one-out",
-        ):
+        for variant in (dict(), dict(alpha=0.3), dict(alpha=2.0), dict(alpha=1e9), "one-out"):
             x = self._features(rng, kind, n, d)
             attn = make_attention(rng, base.heads, n)
             if variant == "one-out":
-                variant = dict(alpha=alpha_leaving_one_out(x, attn, base))
+                variant = dict(alpha=alpha_leaving_one_out(x, attn))
             cfg = base.with_overrides(**variant)
             got, trace = sata_stage(x, attn, cfg, fw)
             want, fields = loop_stage(x, attn, cfg, fw)
@@ -251,15 +244,14 @@ class TestLoopReferenceBitwise:
             (rng.normal(size=(8, 3)), []),
         ]
         for feats, set_a in cases:
-            for metric in ("cosine", "dot"):
-                plan = bipartite_match(set_a, feats, metric=metric)
-                edges, groups, reps, residuals = loop_match(set_a, feats, metric)
-                assert plan.edges == edges
-                assert plan.members.tolist() == [int(i) for g in groups for i in g]
-                assert plan.group_sizes.tolist() == [g.size for g in groups]
-                want = np.stack(reps) if reps else np.zeros((0, 3))
-                assert np.array_equal(plan.representatives, want)
-                assert plan.residuals.tolist() == residuals
+            plan = bipartite_match(set_a, feats)
+            edges, groups, reps, residuals = loop_match(set_a, feats)
+            assert plan.edges == edges
+            assert plan.members.tolist() == [int(i) for g in groups for i in g]
+            assert plan.group_sizes.tolist() == [g.size for g in groups]
+            want = np.stack(reps) if reps else np.zeros((0, 3))
+            assert np.array_equal(plan.representatives, want)
+            assert plan.residuals.tolist() == residuals
 
 
 class TestSplitTokens:
@@ -350,16 +342,14 @@ class TestBipartiteMatch:
         # zero source 0 vs zero target 1 has similarity 1 > similarity 0 vs token 3
         assert plan.edges[0] == 1
 
-    def test_dot_metric(self):
+    def test_cosine_ignores_magnitude(self):
         feats = np.zeros((4, 2))
         feats[0] = [1.0, 0.0]
         feats[1] = [2.0, 0.0]   # same direction, smaller dot than 3
         feats[2] = [1.5, 0.0]
         feats[3] = [30.0, 0.0]
-        cos_plan = bipartite_match([0, 1, 2, 3], feats, metric="cosine")
-        dot_plan = bipartite_match([0, 1, 2, 3], feats, metric="dot")
-        assert cos_plan.edges == {0: 1, 2: 1}  # cosine ties -> lowest index
-        assert dot_plan.edges == {0: 3, 2: 3}
+        plan = bipartite_match([0, 1, 2, 3], feats)
+        assert plan.edges == {0: 1, 2: 1}  # cosine ties -> lowest index
 
     def test_invariants_on_random_sets(self):
         rng = np.random.default_rng(31)
@@ -388,10 +378,6 @@ class TestBipartiteMatch:
         assert p1.residuals.tolist() == p2.residuals.tolist()
         assert p1.members.tolist() == p2.members.tolist()
         assert p1.group_sizes.tolist() == p2.group_sizes.tolist()
-
-    def test_unknown_metric(self):
-        with pytest.raises(ValueError, match="metric"):
-            bipartite_match([0, 1], np.ones((2, 2)), metric="l2")
 
 
 class TestFfnFlops:
@@ -510,21 +496,6 @@ class TestSataStage:
             full, passive = sata_stage(x, attn, cfg, fw, merge=False)
             assert np.array_equal(full, x + ffn(x, fw))
             assert passive.bounds == trace.bounds and passive.ffn_tokens == n
-
-    def test_attention_reduce_max_uses_per_head(self):
-        rng = np.random.default_rng(45)
-        cfg_mean = self._cfg(alpha=1.0, heads=2, dim=8, image=8)
-        cfg_max = cfg_mean.with_overrides(attention_reduce="max")
-        n = cfg_mean.num_tokens
-        x = rng.normal(size=(n, 8))
-        attn = make_attention(rng, 2, n)
-        fw = make_ffn_weights(rng, 8, cfg_mean.hidden)
-        _, tr_mean = sata_stage(x, attn, cfg_mean, fw)
-        _, tr_max = sata_stage(x, attn, cfg_max, fw)
-        w_mean = attn.mean_attention[1:, 1:]
-        w_max = attn.per_head.max(axis=0)[1:, 1:]
-        assert np.allclose(tr_mean.s_snapshot, spatial_scores(x[1:], w_mean).s)
-        assert np.allclose(tr_max.s_snapshot, spatial_scores(x[1:], w_max).s)
 
     def test_too_few_tokens_rejected(self):
         rng = np.random.default_rng(46)

@@ -181,7 +181,7 @@ class TestModelConfig:
     @pytest.mark.parametrize("field,value", [("depth", "8"), ("heads", 2.0), ("image", True),
                                              ("alpha", "1"), ("gamma", True),
                                              ("alpha", math.inf), ("ffn_ratio", math.nan),
-                                             ("moran_row_convention", 0)])
+                                             ("sata_enabled", 0)])
     def test_bad_types_rejected_naming_field(self, field, value):
         with pytest.raises(ValueError, match=repr(field)):
             ModelConfig(**{field: value})
