@@ -277,9 +277,9 @@ class StabilityRecord:
 
 
 def _block_traces(model: Model, image, spec: CorruptionSpec | None, cfg):
-    """Block traces of one forward on ``image``, corrupted by ``spec`` unless None."""
+    """Summary block traces of one forward on ``image``, corrupted by ``spec`` unless None."""
     x = image if spec is None else corrupt(image, spec)
-    return forward(x, model, cfg=cfg)[1]
+    return forward(x, model, cfg=cfg, trace_level="summary")[1]
 
 
 def _stability(model: Model, image, specs, cfg: ModelConfig) -> list[StabilityRecord]:
@@ -367,7 +367,8 @@ def stats_report(model: Model, images, cfg: ModelConfig | None = None) -> list[l
     sums = np.zeros((depth, len(_STATS_COLUMNS)))
     hists = np.zeros((depth, HIST_BINS), dtype=np.int64)
     per_image = parallel.run(
-        lambda image: forward(image, model, cfg=run_cfg)[1], images, parallel.workers(run_cfg)
+        lambda image: _block_traces(model, image, None, run_cfg), images,
+        parallel.workers(run_cfg),
     )
     for traces in per_image:  # summed in image order
         sums += [

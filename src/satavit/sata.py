@@ -62,7 +62,15 @@ class MergePlan:
 
 @dataclass(frozen=True)
 class BlockTrace:
-    """Per-block record of scores, split sizes and FFN load."""
+    """Per-block record of split sizes, FFN load and, at ``"summary"``, scores.
+
+    The split sizes, FFN load and residual indices are there at every
+    trace level.  The score fields (``s_snapshot``, ``bounds``,
+    ``mean_s``, ``abs_median_s`` and ``cls_attention``) are filled only
+    at ``trace_level="summary"`` and are ``None`` at ``"none"``, in
+    every block.  ``x_pre``/``x_post`` are filled only with
+    ``capture_streams``.
+    """
 
     block_index: int
     n_a: int
@@ -70,12 +78,12 @@ class BlockTrace:
     n_groups: int
     n_residual: int
     ffn_tokens: int
-    s_snapshot: np.ndarray
-    bounds: tuple[float, float]
     ffn_flops: int
-    mean_s: float
-    abs_median_s: float
     residual_indices: np.ndarray
+    s_snapshot: Optional[np.ndarray] = None
+    bounds: Optional[tuple[float, float]] = None
+    mean_s: Optional[float] = None
+    abs_median_s: Optional[float] = None
     cls_attention: Optional[np.ndarray] = None
     x_pre: Optional[np.ndarray] = field(default=None, repr=False)
     x_post: Optional[np.ndarray] = field(default=None, repr=False)
@@ -196,6 +204,7 @@ def sata_stage(
     block_index: int = 0,
     merge: bool = True,
     lanes: Lanes = SERIAL,
+    trace_level: str = "none",
 ) -> tuple[np.ndarray, BlockTrace]:
     """Score, split, merge, run the reduced FFN, and restore all positions.
 
@@ -205,12 +214,21 @@ def sata_stage(
     original order.
 
     With ``merge=False`` (a block where the stage does not act) the
-    block is still scored and banded for the trace, but the full FFN
-    runs on the stream itself with no gather or restore; the trace then
-    reports an empty out-of-band set (``n_a=0``, ``n_b=N-1``, no groups,
-    no residuals, ``ffn_tokens=N``) next to the real bounds and scores.
-    The FFN runs on ``lanes``.
+    full FFN runs on the stream itself with no gather or restore; the
+    trace reports an empty out-of-band set (``n_a=0``, ``n_b=N-1``, no
+    groups, no residuals, ``ffn_tokens=N``).  The FFN runs on ``lanes``.
+
+    ``trace_level`` is ``"none"`` or ``"summary"``.  At ``"summary"``
+    every block is scored and banded and the trace carries the scores,
+    bounds and class-token attention row; a ``merge=False`` block
+    reports its real scores and bounds next to the empty out-of-band
+    set.  At ``"none"`` those fields are ``None``, and a ``merge=False``
+    block skips scoring and banding altogether.  The output is the same
+    at both levels.
     """
+    if trace_level not in ("none", "summary"):
+        raise ValueError(f"trace_level must be 'none' or 'summary', got {trace_level!r}")
+    summary = trace_level == "summary"
     x = as_matrix(x)
     n_all, d = x.shape
     if n_all < 2:
@@ -220,9 +238,10 @@ def sata_stage(
             f"attention map shape {attn.mean_attention.shape} does not match {n_all} tokens"
         )
 
-    patches = x[1:]
-    scores = spatial_scores(patches, attn.mean_attention[1:, 1:])
-    split = split_tokens(scores, cfg.alpha)
+    if merge or summary:
+        patches = x[1:]
+        scores = spatial_scores(patches, attn.mean_attention[1:, 1:])
+        split = split_tokens(scores, cfg.alpha)
     if not merge:
         out = ffn(x, ffn_weights, lanes)
         out += x
@@ -244,6 +263,16 @@ def sata_stage(
         n_tokens = ffn_in.shape[0]
         residuals = plan.residuals
 
+    scored = {}
+    if summary:
+        scored = dict(
+            s_snapshot=scores.s,
+            bounds=(split.lower, split.upper),
+            mean_s=scores.mean_s,
+            abs_median_s=scores.abs_median_s,
+            # a copy, because a view would keep the (n, n) mean map alive
+            cls_attention=attn.mean_attention[0, 1:].copy(),
+        )
     hidden = ffn_weights.w1.shape[1]
     trace = BlockTrace(
         block_index=block_index,
@@ -252,13 +281,8 @@ def sata_stage(
         n_groups=n_groups,
         n_residual=int(residuals.size),
         ffn_tokens=n_tokens,
-        s_snapshot=scores.s,
-        bounds=(split.lower, split.upper),
         ffn_flops=ffn_flops(n_tokens, d, hidden),
-        mean_s=scores.mean_s,
-        abs_median_s=scores.abs_median_s,
         residual_indices=residuals,
-        # a copy, because a view would keep the (n, n) mean map alive
-        cls_attention=attn.mean_attention[0, 1:].copy(),
+        **scored,
     )
     return out, trace

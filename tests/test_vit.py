@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from satavit import ModelConfig, forward, random_init
+from satavit import ModelConfig, forward, random_image, random_init, sata
 from satavit.engine import classify, embed, run_blocks
 from satavit.modelio import attn_view, embed_view, ffn_view, head_view
 from satavit.moran import spatial_scores
@@ -402,10 +402,12 @@ class TestForward:
     def test_split_at_any_block_is_bitwise_forward(self, small_model, gamma):
         cfg = small_model.config.with_overrides(gamma=gamma)
         img = np.linspace(0, 1, cfg.image * cfg.image).reshape(cfg.image, cfg.image)
-        want_logits, want_traces = forward(img, small_model, cfg=cfg)
+        want_logits, want_traces = forward(img, small_model, cfg=cfg, trace_level="summary")
         for split in range(cfg.depth + 1):
-            x, head_traces = run_blocks(embed(img, small_model, cfg), small_model, cfg, 0, split)
-            x, tail_traces = run_blocks(x, small_model, cfg, split, cfg.depth)
+            x, head_traces = run_blocks(embed(img, small_model, cfg), small_model, cfg, 0, split,
+                                        trace_level="summary")
+            x, tail_traces = run_blocks(x, small_model, cfg, split, cfg.depth,
+                                        trace_level="summary")
             assert np.array_equal(classify(x, small_model), want_logits)
             traces = head_traces + tail_traces
             assert [t.block_index for t in traces] == list(range(cfg.depth))
@@ -431,7 +433,8 @@ class TestForward:
                                                                  overrides):
         cfg = small_model.config.with_overrides(**overrides)
         img = np.linspace(0, 1, cfg.image * cfg.image).reshape(cfg.image, cfg.image)
-        _, traces = forward(img, small_model, cfg=cfg, capture_streams=True)
+        _, traces = forward(img, small_model, cfg=cfg, capture_streams=True,
+                            trace_level="summary")
         assert len(traces) == cfg.depth
         assert cfg.sata_start_block >= cfg.depth or not cfg.sata_enabled
         x = embed(img, small_model, cfg)
@@ -487,3 +490,65 @@ class TestForward:
             out = mhsa(x, attn_view(small_model, b), cfg.heads)
             assert np.max(np.abs(out.mean_attention.sum(axis=1) - 1.0)) < 1e-6
             x = out.features + ffn(out.features, ffn_view(small_model, b))
+
+
+class TestTraceLevels:
+    """``trace_level="none"`` drops the score fields and nothing else."""
+
+    SHAPES = {
+        "8x32": dict(depth=8, dim=32, heads=4, patch=4, image=16),
+        "vit-ti-width": dict(depth=12, dim=192, heads=3, patch=16, image=112),
+    }
+    RUNS = {
+        "stage-off": dict(sata_enabled=False),
+        "gamma-0": dict(gamma=0.0),
+        "gamma-0.7": dict(gamma=0.7),
+        "gamma-1": dict(gamma=1.0),
+    }
+    KEPT = ("n_a", "n_b", "n_groups", "n_residual", "ffn_tokens", "ffn_flops")
+    SCORED = ("s_snapshot", "bounds", "mean_s", "abs_median_s", "cls_attention")
+
+    @staticmethod
+    def _model(shape):
+        cfg = ModelConfig(num_classes=10, **TestTraceLevels.SHAPES[shape])
+        return random_init(cfg, seed=7), random_image(cfg, seed=3)
+
+    @pytest.mark.parametrize("shape", ["8x32", "vit-ti-width"])
+    def test_levels_agree_on_logits_and_kept_fields(self, shape):
+        model, img = self._model(shape)
+        for run in self.RUNS.values():
+            cfg = model.config.with_overrides(**run)
+            want_logits, want = forward(img, model, cfg=cfg, trace_level="summary")
+            got_logits, got = forward(img, model, cfg=cfg)
+            assert np.array_equal(got_logits, want_logits)
+            assert len(got) == len(want) == cfg.depth
+            for g, w in zip(got, want):
+                assert [getattr(g, f) for f in self.KEPT] == [getattr(w, f) for f in self.KEPT]
+                assert g.residual_indices.dtype == w.residual_indices.dtype
+                assert np.array_equal(g.residual_indices, w.residual_indices)
+                assert all(getattr(g, f) is None for f in self.SCORED)
+                assert all(getattr(w, f) is not None for f in self.SCORED)
+
+    def test_scoring_runs_only_where_the_stage_merges(self, monkeypatch):
+        model, img = self._model("8x32")
+        cfg = model.config.with_overrides(gamma=0.7)
+        calls = []
+        real = sata.spatial_scores
+        monkeypatch.setattr(sata, "spatial_scores", lambda *a: calls.append(1) or real(*a))
+
+        def count(run_cfg, **kw):
+            calls.clear()
+            forward(img, model, cfg=run_cfg, **kw)
+            return len(calls)
+
+        assert count(cfg.with_overrides(sata_enabled=False)) == 0
+        assert cfg.depth - cfg.sata_start_block == 2
+        assert count(cfg) == 2
+        assert count(cfg, trace_level="summary") == cfg.depth
+
+    def test_unknown_level_rejected(self, small_model):
+        cfg = small_model.config
+        img = np.zeros((cfg.image, cfg.image))
+        for level in ("full", "None", None):
+            with pytest.raises(ValueError, match="'none' or 'summary'"):
+                forward(img, small_model, trace_level=level)
