@@ -11,12 +11,12 @@ records the block's :class:`~satavit.sata.BlockTrace`, so token counts
 and FLOPs are observable across the whole depth.  Before
 ``sata_start_block`` or with the stage disabled it runs with
 ``merge=False``: the full FFN on the whole stream, and a trace with an
-empty out-of-band set.  ``trace_level`` decides what else a trace
-holds.  At ``"none"`` (the default) only stage blocks score and band
-the tokens, because they need the split, and no trace keeps a score.
-At ``"summary"`` every block scores and bands, and every trace keeps
-the scores, band bounds and class-token attention row.  The logits are
-the same at both levels.
+empty out-of-band set.  ``trace_scores`` decides what else a trace
+holds.  Without it (the default) only stage blocks score and band the
+tokens, because they need the split, and no trace keeps a score.  With
+it every block scores and bands, and every trace keeps the scores,
+band bounds and class-token attention row.  The logits are the same
+either way.
 """
 
 from __future__ import annotations
@@ -48,13 +48,13 @@ def run_blocks(
     first: int,
     stop: int,
     capture_streams: bool = False,
-    trace_level: str = "none",
+    trace_scores: bool = False,
 ) -> tuple[np.ndarray, list[BlockTrace]]:
     """Run blocks ``first .. stop - 1`` on the stream ``x`` entering block ``first``.
 
     Returns the stream leaving block ``stop - 1`` (``x`` itself for an
-    empty range) and one trace per block run, at ``trace_level``
-    (``"none"`` or ``"summary"``, see :class:`~satavit.sata.BlockTrace`).
+    empty range) and one trace per block run, with scores if
+    ``trace_scores`` (see :class:`~satavit.sata.BlockTrace`).
     The stream is never modified in place, so a caller may keep it and
     resume from it.  The blocks run on ``parallel.lanes(cfg)``, decided
     once per call.
@@ -69,7 +69,7 @@ def run_blocks(
         xa = attn.features
         x_next, trace = sata_stage(
             xa, attn, cfg, ffn_view(model, i), block_index=i,
-            merge=cfg.sata_enabled and i >= start, lanes=lanes, trace_level=trace_level,
+            merge=cfg.sata_enabled and i >= start, lanes=lanes, trace_scores=trace_scores,
         )
         if capture_streams:
             trace = replace(trace, x_pre=xa.copy(), x_post=x_next.copy())
@@ -90,18 +90,18 @@ def forward(
     model: Model,
     cfg: ModelConfig | None = None,
     capture_streams: bool = False,
-    trace_level: str = "none",
+    trace_scores: bool = False,
 ) -> tuple[np.ndarray, list[BlockTrace]]:
     """Run all blocks and the classifier head on one image.
 
     ``cfg`` overrides the model's stored config for run-time settings
     (alpha, gamma, stage on/off); architecture fields must match the
     weights.  With ``capture_streams`` each trace also keeps the
-    pre-FFN and post-block token tensors for inspection.  At
-    ``trace_level="summary"`` each trace also keeps the block's scores,
-    band bounds and class-token attention row; at ``"none"``, the
-    default, those fields are ``None`` and blocks where the stage does
-    not merge skip scoring.
+    pre-FFN and post-block token tensors for inspection.  With
+    ``trace_scores`` each trace also keeps the block's scores, band
+    bounds and class-token attention row; without it, the default,
+    those fields are ``None`` and blocks where the stage does not merge
+    skip scoring.
     """
     if cfg is None:
         cfg = model.config
@@ -109,6 +109,6 @@ def forward(
     # keeps it alive through the block loop; holding it changes the
     # allocation pattern and made a ViT-Ti forward about 8% slower
     x, traces = run_blocks(
-        embed(image, model, cfg), model, cfg, 0, cfg.depth, capture_streams, trace_level
+        embed(image, model, cfg), model, cfg, 0, cfg.depth, capture_streams, trace_scores
     )
     return classify(x, model), traces

@@ -277,9 +277,9 @@ class StabilityRecord:
 
 
 def _block_traces(model: Model, image, spec: CorruptionSpec | None, cfg):
-    """Summary block traces of one forward on ``image``, corrupted by ``spec`` unless None."""
+    """Block traces with scores of one forward on ``image``, corrupted by ``spec`` unless None."""
     x = image if spec is None else corrupt(image, spec)
-    return forward(x, model, cfg=cfg, trace_level="summary")[1]
+    return forward(x, model, cfg=cfg, trace_scores=True)[1]
 
 
 def _stability(model: Model, image, specs, cfg: ModelConfig) -> list[StabilityRecord]:

@@ -48,17 +48,7 @@ class SpatialScores:
         if s.size == 0:
             raise ValueError("SpatialScores needs at least one score")
         # sum / n is ndarray.mean's add.reduce and divide, bitwise, without its wrapper
-        mean_s = float(s.sum() / s.size)
-        # the median of a full sort, in np.median's arithmetic: the middle
-        # value, or the two middle values summed and halved; sort puts NaN
-        # last, and any NaN makes the median NaN.  The sign of a zero
-        # median may differ from np.median's, which abs removes.
-        p = np.sort(s)
-        k = s.size // 2
-        median = p[k] if s.size % 2 else (p[k - 1] + p[k]) / 2
-        if np.isnan(p[-1]):
-            median = np.nan
-        return cls(s=s, mean_s=mean_s, abs_median_s=abs(float(median)))
+        return cls(s=s, mean_s=float(s.sum() / s.size), abs_median_s=abs(float(np.median(s))))
 
 
 def global_attribute(x) -> np.ndarray:

@@ -62,14 +62,13 @@ class MergePlan:
 
 @dataclass(frozen=True)
 class BlockTrace:
-    """Per-block record of split sizes, FFN load and, at ``"summary"``, scores.
+    """Per-block record of split sizes, FFN load and, with ``trace_scores``, scores.
 
-    The split sizes, FFN load and residual indices are there at every
-    trace level.  The score fields (``s_snapshot``, ``bounds``,
-    ``mean_s``, ``abs_median_s`` and ``cls_attention``) are filled only
-    at ``trace_level="summary"`` and are ``None`` at ``"none"``, in
-    every block.  ``x_pre``/``x_post`` are filled only with
-    ``capture_streams``.
+    The split sizes, FFN load and residual indices are always there.
+    The score fields (``s_snapshot``, ``bounds``, ``mean_s``,
+    ``abs_median_s`` and ``cls_attention``) are filled only with
+    ``trace_scores=True`` and are ``None`` otherwise, in every block.
+    ``x_pre``/``x_post`` are filled only with ``capture_streams``.
     """
 
     block_index: int
@@ -204,7 +203,7 @@ def sata_stage(
     block_index: int = 0,
     merge: bool = True,
     lanes: Lanes = SERIAL,
-    trace_level: str = "none",
+    trace_scores: bool = False,
 ) -> tuple[np.ndarray, BlockTrace]:
     """Score, split, merge, run the reduced FFN, and restore all positions.
 
@@ -218,17 +217,13 @@ def sata_stage(
     trace reports an empty out-of-band set (``n_a=0``, ``n_b=N-1``, no
     groups, no residuals, ``ffn_tokens=N``).  The FFN runs on ``lanes``.
 
-    ``trace_level`` is ``"none"`` or ``"summary"``.  At ``"summary"``
-    every block is scored and banded and the trace carries the scores,
-    bounds and class-token attention row; a ``merge=False`` block
-    reports its real scores and bounds next to the empty out-of-band
-    set.  At ``"none"`` those fields are ``None``, and a ``merge=False``
-    block skips scoring and banding altogether.  The output is the same
-    at both levels.
+    With ``trace_scores`` every block is scored and banded and the
+    trace carries the scores, bounds and class-token attention row; a
+    ``merge=False`` block reports its real scores and bounds next to the
+    empty out-of-band set.  Without it those fields are ``None``, and a
+    ``merge=False`` block skips scoring and banding altogether.  The
+    output is the same either way.
     """
-    if trace_level not in ("none", "summary"):
-        raise ValueError(f"trace_level must be 'none' or 'summary', got {trace_level!r}")
-    summary = trace_level == "summary"
     x = as_matrix(x)
     n_all, d = x.shape
     if n_all < 2:
@@ -238,7 +233,7 @@ def sata_stage(
             f"attention map shape {attn.mean_attention.shape} does not match {n_all} tokens"
         )
 
-    if merge or summary:
+    if merge or trace_scores:
         patches = x[1:]
         scores = spatial_scores(patches, attn.mean_attention[1:, 1:])
         split = split_tokens(scores, cfg.alpha)
@@ -264,7 +259,7 @@ def sata_stage(
         residuals = plan.residuals
 
     scored = {}
-    if summary:
+    if trace_scores:
         scored = dict(
             s_snapshot=scores.s,
             bounds=(split.lower, split.upper),

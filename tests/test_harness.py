@@ -163,8 +163,8 @@ def reference_averaged_stability(model, image, seed, cfg=None) -> list[list]:
     for kind in CORRUPTION_KINDS:
         for severity in range(1, 6):
             spec = CorruptionSpec(kind=kind, severity=severity, seed=int(pair_seeds[count]))
-            _, clean = forward(image, model, cfg=cfg, trace_level="summary")
-            _, corr = forward(corrupt(image, spec), model, cfg=cfg, trace_level="summary")
+            _, clean = forward(image, model, cfg=cfg, trace_scores=True)
+            _, corr = forward(corrupt(image, spec), model, cfg=cfg, trace_scores=True)
             att = [cosine_similarity(c.cls_attention, x.cls_attention) for c, x in zip(clean, corr)]
             sata = [cosine_similarity(c.s_snapshot, x.s_snapshot) for c, x in zip(clean, corr)]
             if sums_att is None:
@@ -179,9 +179,9 @@ def reference_averaged_stability(model, image, seed, cfg=None) -> list[list]:
 
 def reference_stability(model, image, spec, cfg=None) -> list[list]:
     """One clean and one corrupted forward (the clean image again without a spec)."""
-    _, clean = forward(image, model, cfg=cfg, trace_level="summary")
+    _, clean = forward(image, model, cfg=cfg, trace_scores=True)
     _, corr = forward(image if spec is None else corrupt(image, spec), model, cfg=cfg,
-                      trace_level="summary")
+                      trace_scores=True)
     return [[c.block_index,
              cosine_similarity(c.cls_attention, x.cls_attention),
              cosine_similarity(c.s_snapshot, x.s_snapshot)]
@@ -196,7 +196,7 @@ def reference_stats(model, images, cfg=None) -> list[list]:
     acc = {key: np.zeros(depth) for key in keys}
     hists = np.zeros((depth, harness.HIST_BINS), dtype=np.int64)
     for image in images:
-        _, traces = forward(image, model, cfg=run_cfg, trace_level="summary")
+        _, traces = forward(image, model, cfg=run_cfg, trace_scores=True)
         for b, tr in enumerate(traces):
             acc["mean_s"][b] += tr.mean_s
             acc["abs_median_s"][b] += tr.abs_median_s

@@ -77,13 +77,13 @@ def assert_bitwise_equal(got, want):
 
 
 def lane_forwards(model, image, cfg, monkeypatch, counts=(2, 3, 4)):
-    """The serial forward, then one per forced lane count."""
+    """The serial forward, then one per forced lane count, with every trace field filled."""
     force_workers(monkeypatch, 1)
-    serial = forward(image, model, cfg, capture_streams=True)
+    serial = forward(image, model, cfg, capture_streams=True, trace_scores=True)
     runs = {}
     for count in counts:
         force_workers(monkeypatch, count)
-        runs[count] = forward(image, model, cfg, capture_streams=True)
+        runs[count] = forward(image, model, cfg, capture_streams=True, trace_scores=True)
     return serial, runs
 
 
@@ -156,12 +156,12 @@ class TestLaneOracle:
     def test_stress_more_lanes_than_cores_with_fast_switching(self, pool_model, monkeypatch):
         image = random_image(POOL_CFG, 3)
         force_workers(monkeypatch, 1)
-        serial = forward(image, pool_model, POOL_CFG, capture_streams=True)
+        serial = forward(image, pool_model, POOL_CFG, capture_streams=True, trace_scores=True)
         force_workers(monkeypatch, 2 * parallel._cpus() + 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            runs = [forward(image, pool_model, POOL_CFG, capture_streams=True)
+            runs = [forward(image, pool_model, POOL_CFG, capture_streams=True, trace_scores=True)
                     for _ in range(5)]
         finally:
             sys.setswitchinterval(interval)

@@ -222,7 +222,7 @@ class TestLoopReferenceBitwise:
             if variant == "one-out":
                 variant = dict(alpha=alpha_leaving_one_out(x, attn))
             cfg = base.with_overrides(**variant)
-            got, trace = sata_stage(x, attn, cfg, fw, trace_level="summary")
+            got, trace = sata_stage(x, attn, cfg, fw, trace_scores=True)
             want, fields = loop_stage(x, attn, cfg, fw)
             assert np.array_equal(got, want)
             for name, value in fields.items():
@@ -484,7 +484,7 @@ class TestSataStage:
         for _ in range(50):
             x = rng.normal(size=(n, cfg.dim))
             attn = make_attention(rng, cfg.heads, n)
-            out, trace = sata_stage(x, attn, cfg, fw, trace_level="summary")
+            out, trace = sata_stage(x, attn, cfg, fw, trace_scores=True)
             assert out.shape == x.shape
             assert trace.ffn_tokens == trace.n_b + trace.n_groups + 1
             assert trace.ffn_tokens <= n
@@ -493,7 +493,7 @@ class TestSataStage:
             assert trace.ffn_flops == ffn_flops(trace.ffn_tokens, cfg.dim, cfg.hidden)
             for idx in trace.residual_indices:
                 assert np.array_equal(out[1 + idx], x[1 + idx])
-            full, passive = sata_stage(x, attn, cfg, fw, merge=False, trace_level="summary")
+            full, passive = sata_stage(x, attn, cfg, fw, merge=False, trace_scores=True)
             assert np.array_equal(full, x + ffn(x, fw))
             assert passive.bounds == trace.bounds and passive.ffn_tokens == n
 

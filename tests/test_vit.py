@@ -402,12 +402,12 @@ class TestForward:
     def test_split_at_any_block_is_bitwise_forward(self, small_model, gamma):
         cfg = small_model.config.with_overrides(gamma=gamma)
         img = np.linspace(0, 1, cfg.image * cfg.image).reshape(cfg.image, cfg.image)
-        want_logits, want_traces = forward(img, small_model, cfg=cfg, trace_level="summary")
+        want_logits, want_traces = forward(img, small_model, cfg=cfg, trace_scores=True)
         for split in range(cfg.depth + 1):
             x, head_traces = run_blocks(embed(img, small_model, cfg), small_model, cfg, 0, split,
-                                        trace_level="summary")
+                                        trace_scores=True)
             x, tail_traces = run_blocks(x, small_model, cfg, split, cfg.depth,
-                                        trace_level="summary")
+                                        trace_scores=True)
             assert np.array_equal(classify(x, small_model), want_logits)
             traces = head_traces + tail_traces
             assert [t.block_index for t in traces] == list(range(cfg.depth))
@@ -434,7 +434,7 @@ class TestForward:
         cfg = small_model.config.with_overrides(**overrides)
         img = np.linspace(0, 1, cfg.image * cfg.image).reshape(cfg.image, cfg.image)
         _, traces = forward(img, small_model, cfg=cfg, capture_streams=True,
-                            trace_level="summary")
+                            trace_scores=True)
         assert len(traces) == cfg.depth
         assert cfg.sata_start_block >= cfg.depth or not cfg.sata_enabled
         x = embed(img, small_model, cfg)
@@ -492,8 +492,8 @@ class TestForward:
             x = out.features + ffn(out.features, ffn_view(small_model, b))
 
 
-class TestTraceLevels:
-    """``trace_level="none"`` drops the score fields and nothing else."""
+class TestTraceScores:
+    """A forward without ``trace_scores`` drops the score fields and nothing else."""
 
     SHAPES = {
         "8x32": dict(depth=8, dim=32, heads=4, patch=4, image=16),
@@ -510,15 +510,15 @@ class TestTraceLevels:
 
     @staticmethod
     def _model(shape):
-        cfg = ModelConfig(num_classes=10, **TestTraceLevels.SHAPES[shape])
+        cfg = ModelConfig(num_classes=10, **TestTraceScores.SHAPES[shape])
         return random_init(cfg, seed=7), random_image(cfg, seed=3)
 
     @pytest.mark.parametrize("shape", ["8x32", "vit-ti-width"])
-    def test_levels_agree_on_logits_and_kept_fields(self, shape):
+    def test_logits_and_kept_fields_agree(self, shape):
         model, img = self._model(shape)
         for run in self.RUNS.values():
             cfg = model.config.with_overrides(**run)
-            want_logits, want = forward(img, model, cfg=cfg, trace_level="summary")
+            want_logits, want = forward(img, model, cfg=cfg, trace_scores=True)
             got_logits, got = forward(img, model, cfg=cfg)
             assert np.array_equal(got_logits, want_logits)
             assert len(got) == len(want) == cfg.depth
@@ -544,11 +544,4 @@ class TestTraceLevels:
         assert count(cfg.with_overrides(sata_enabled=False)) == 0
         assert cfg.depth - cfg.sata_start_block == 2
         assert count(cfg) == 2
-        assert count(cfg, trace_level="summary") == cfg.depth
-
-    def test_unknown_level_rejected(self, small_model):
-        cfg = small_model.config
-        img = np.zeros((cfg.image, cfg.image))
-        for level in ("full", "None", None):
-            with pytest.raises(ValueError, match="'none' or 'summary'"):
-                forward(img, small_model, trace_level=level)
+        assert count(cfg, trace_scores=True) == cfg.depth
