@@ -8,15 +8,15 @@ resume from a cached stream instead of recomputing a shared prefix.
 
 Every block goes through :func:`~satavit.sata.sata_stage`, which
 records the block's :class:`~satavit.sata.BlockTrace`, so token counts
-and FLOPs are observable across the whole depth.  Before
-``sata_start_block`` or with the stage disabled it runs with
-``merge=False``: the full FFN on the whole stream, and a trace with an
-empty out-of-band set.  ``trace_scores`` decides what else a trace
-holds.  Without it (the default) only stage blocks score and band the
-tokens, because they need the split, and no trace keeps a score.  With
-it every block scores and bands, and every trace keeps the scores,
-band bounds and class-token attention row.  The logits are the same
-either way.
+and FLOPs are observable across the whole depth.  The stage decides
+from ``cfg`` and the block index whether a block merges; before
+``sata_start_block`` or with the stage disabled it passes through: the
+full FFN on the whole stream, and a trace with an empty out-of-band
+set.  ``trace_scores`` decides what else a trace holds.  Without it
+(the default) only stage blocks score and band the tokens, because
+they need the split, and no trace keeps a score.  With it every block
+scores and bands, and every trace keeps the scores, band bounds and
+class-token attention row.  The logits are the same either way.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .modelio import Model, attn_view, embed_view, ffn_view, head_view
 from .moran import spatial_scores
 from .sata import BlockTrace, sata_stage
 from .tensorops import layer_norm
-from .vit import LN_EPS, ModelConfig, ffn, mhsa, patch_embed
+from .vit import ModelConfig, ffn, mhsa, patch_embed
 
 __all__ = ["forward", "embed", "run_blocks", "classify"]
 
@@ -54,25 +54,25 @@ def run_blocks(
 
     Returns the stream leaving block ``stop - 1`` (``x`` itself for an
     empty range) and one trace per block run, with scores if
-    ``trace_scores`` (see :class:`~satavit.sata.BlockTrace`).
-    The stream is never modified in place, so a caller may keep it and
-    resume from it.  The blocks run on ``parallel.lanes(cfg)``, decided
-    once per call.
+    ``trace_scores`` (see :class:`~satavit.sata.BlockTrace`).  ``cfg``
+    must match ``model.config`` in every architecture field.  The stream
+    is never modified in place, so a caller may keep it and resume from
+    it.  The blocks run on ``parallel.lanes(cfg)``, decided once per
+    call.
     """
+    arch = ("depth", "dim", "heads", "ffn_ratio", "patch", "image", "num_classes", "channels")
+    differ = [f for f in arch if getattr(cfg, f) != getattr(model.config, f)]
+    if differ:
+        raise ValueError(f"config does not match the model's weights in {', '.join(differ)}")
     if not 0 <= first <= stop <= cfg.depth:
         raise ValueError(f"block range [{first}, {stop}) outside depth {cfg.depth}")
-    start = cfg.sata_start_block
     lanes = parallel.lanes(cfg)
     traces: list[BlockTrace] = []
     for i in range(first, stop):
         attn = mhsa(x, attn_view(model, i), cfg.heads, lanes)
-        xa = attn.features
-        x_next, trace = sata_stage(
-            xa, attn, cfg, ffn_view(model, i), block_index=i,
-            merge=cfg.sata_enabled and i >= start, lanes=lanes, trace_scores=trace_scores,
-        )
+        x_next, trace = sata_stage(attn, cfg, ffn_view(model, i), i, lanes, trace_scores)
         if capture_streams:
-            trace = replace(trace, x_pre=xa.copy(), x_post=x_next.copy())
+            trace = replace(trace, x_pre=attn.features.copy(), x_post=x_next.copy())
         traces.append(trace)
         x = x_next
     return x, traces
@@ -81,7 +81,7 @@ def run_blocks(
 def classify(x: np.ndarray, model: Model) -> np.ndarray:
     """Logits from the final stream: final LayerNorm, then the class-token head."""
     head = head_view(model)
-    final = layer_norm(x, head.ln_gain, head.ln_bias, eps=LN_EPS)
+    final = layer_norm(x, head.ln_gain, head.ln_bias)
     return final[0] @ head.weight + head.bias
 
 

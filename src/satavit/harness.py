@@ -520,15 +520,10 @@ def _naive_spatial_scores(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.
     return np.array(znorm(raw)), np.array(raw)
 
 
-def _random_attention(gen: SplitMix64, heads: int, n: int) -> AttentionOutput:
-    maps = np.stack(
-        [row_softmax(gen.normal(n * n).reshape(n, n)) for _ in range(heads)]
-    )
-    return AttentionOutput(
-        features=np.zeros((n, 1)),
-        mean_attention=maps.mean(axis=0),
-        per_head=maps,
-    )
+def _random_attention(gen: SplitMix64, heads: int, features: np.ndarray) -> AttentionOutput:
+    n = features.shape[0]
+    maps = np.stack([row_softmax(gen.normal(n * n).reshape(n, n)) for _ in range(heads)])
+    return AttentionOutput(features=features, mean_attention=maps.mean(axis=0), per_head=maps)
 
 
 def _random_ffn_weights(gen: SplitMix64, d: int, hidden: int) -> FfnWeights:
@@ -596,13 +591,14 @@ def _check_merge_plans(gen: SplitMix64, cases: int) -> float:
 
 def _check_noop_equivalence(gen: SplitMix64, cases: int) -> float:
     worst = 0.0
-    cfg = ModelConfig(depth=1, dim=8, heads=2, patch=2, image=8, alpha=1e9)
+    # gamma 0 makes block 0 a stage block, so the merge path runs
+    cfg = ModelConfig(depth=1, dim=8, heads=2, patch=2, image=8, gamma=0.0, alpha=1e9)
     for _ in range(cases):
         n = cfg.num_tokens
         x = gen.normal(n * cfg.dim).reshape(n, cfg.dim)
-        attn = _random_attention(gen, cfg.heads, n)
+        attn = _random_attention(gen, cfg.heads, x)
         fw = _random_ffn_weights(gen, cfg.dim, cfg.hidden)
-        merged, trace = sata_stage(x, attn, cfg, fw)
+        merged, trace = sata_stage(attn, cfg, fw, 0)
         if trace.n_a != 0:
             continue  # band did not cover (|median| == 0); vacuous case
         vanilla = x + ffn(x, fw)

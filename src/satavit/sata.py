@@ -196,35 +196,34 @@ def ffn_flops(n_tokens: int, d: int, hidden: int) -> int:
 
 
 def sata_stage(
-    x,
     attn: AttentionOutput,
     cfg: ModelConfig,
     ffn_weights: FfnWeights,
-    block_index: int = 0,
-    merge: bool = True,
+    block_index: int,
     lanes: Lanes = SERIAL,
     trace_scores: bool = False,
 ) -> tuple[np.ndarray, BlockTrace]:
     """Score, split, merge, run the reduced FFN, and restore all positions.
 
-    ``x`` is the post-attention residual stream with the class token in
-    row 0; the class token is exempt from splitting and always routed
-    to the FFN.  The output has exactly the input token count, in the
-    original order.
+    The stream is ``attn.features``, the post-attention residual stream
+    with the class token in row 0; the class token is exempt from
+    splitting and always routed to the FFN.  The output has exactly the
+    input token count, in the original order.
 
-    With ``merge=False`` (a block where the stage does not act) the
-    full FFN runs on the stream itself with no gather or restore; the
-    trace reports an empty out-of-band set (``n_a=0``, ``n_b=N-1``, no
+    The stage merges only if ``cfg.sata_enabled`` and ``block_index``
+    is at least ``cfg.sata_start_block``.  In any other block the full
+    FFN runs on the stream itself with no gather or restore; the trace
+    reports an empty out-of-band set (``n_a=0``, ``n_b=N-1``, no
     groups, no residuals, ``ffn_tokens=N``).  The FFN runs on ``lanes``.
 
     With ``trace_scores`` every block is scored and banded and the
     trace carries the scores, bounds and class-token attention row; a
-    ``merge=False`` block reports its real scores and bounds next to the
+    pass-through block reports its real scores and bounds next to the
     empty out-of-band set.  Without it those fields are ``None``, and a
-    ``merge=False`` block skips scoring and banding altogether.  The
+    pass-through block skips scoring and banding altogether.  The
     output is the same either way.
     """
-    x = as_matrix(x)
+    x = as_matrix(attn.features)
     n_all, d = x.shape
     if n_all < 2:
         raise ValueError(f"need at least one patch token besides the class token, got {n_all} rows")
@@ -233,6 +232,7 @@ def sata_stage(
             f"attention map shape {attn.mean_attention.shape} does not match {n_all} tokens"
         )
 
+    merge = cfg.sata_enabled and block_index >= cfg.sata_start_block
     if merge or trace_scores:
         patches = x[1:]
         scores = spatial_scores(patches, attn.mean_attention[1:, 1:])

@@ -51,8 +51,8 @@ def row_softmax(a) -> np.ndarray:
     return _check_finite(e, "row_softmax")
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-6) -> np.ndarray:
-    """Per-row standardization (population variance) followed by affine."""
+def layer_norm(x, gain, bias) -> np.ndarray:
+    """Per-row standardization (population variance, eps 1e-6) followed by affine."""
     x = as_matrix(x)
     gain = np.asarray(gain, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
@@ -61,7 +61,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> np.ndarray:
             f"layer_norm affine length mismatch: x has {x.shape[1]} columns, "
             f"gain has shape {gain.shape}, bias has shape {bias.shape}"
         )
-    # (x - mu) / sqrt(var + eps) * gain + bias, var summed and divided
+    # (x - mu) / sqrt(var + 1e-6) * gain + bias, var summed and divided
     # by the column count in np.var's order; a row whose mean or
     # variance overflows would come out as the bias, finite, so it is
     # rejected here rather than warned about
@@ -69,7 +69,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> np.ndarray:
         dev = x - x.sum(axis=1, keepdims=True) / x.shape[1]  # x.mean's bits
         var = (dev * dev).sum(axis=1, keepdims=True) / x.shape[1]
     _check_finite(var, "layer_norm")
-    dev /= np.sqrt(var + eps)
+    dev /= np.sqrt(var + 1e-6)
     dev *= gain
     dev += bias
     return _check_finite(dev, "layer_norm")

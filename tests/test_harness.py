@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from satavit import ModelConfig, engine, harness, parallel, random_init
+from satavit import ModelConfig, engine, harness, parallel, random_init, sata
 from satavit.engine import forward
 from satavit.harness import (
     CORRUPTION_KINDS,
@@ -26,6 +26,7 @@ from satavit.harness import (
     write_raw_image,
 )
 from satavit.rng import SplitMix64
+from satavit.sata import bipartite_match
 from satavit.tensorops import cosine_similarity
 
 CFG = ModelConfig(depth=4, dim=16, heads=2, patch=2, image=8, num_classes=4,
@@ -499,6 +500,17 @@ class TestSelftest:
         assert all(r[3] == "pass" for r in rows)
         text = out.read_text(encoding="utf-8")
         assert text.splitlines()[0] == "check,cases,max_abs_error,status"
+
+    def test_noop_equivalence_runs_the_merge_path(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return bipartite_match(*args)
+
+        monkeypatch.setattr(sata, "bipartite_match", counting)
+        harness._check_noop_equivalence(SplitMix64(0), 5)
+        assert len(calls) == 5
 
     def test_deterministic(self):
         a, _ = selftest(seed=3)

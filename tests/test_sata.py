@@ -15,10 +15,10 @@ from conftest import random_attention_maps
 from test_vit import make_ffn_weights, ref_ffn_delta
 
 
-def make_attention(rng, heads, n, features=None):
-    maps = random_attention_maps(rng, heads, n)
+def make_attention(rng, heads, features):
+    maps = random_attention_maps(rng, heads, features.shape[0])
     return AttentionOutput(
-        features=features if features is not None else np.zeros((n, 1)),
+        features=features,
         mean_attention=maps.mean(axis=0),
         per_head=maps,
     )
@@ -85,13 +85,13 @@ def naive_stage(x, mean_attention, cfg, fw):
 class TestNaiveStageOracle:
     def test_full_stage_matches_loop_reference(self):
         rng = np.random.default_rng(777)
-        cfg = ModelConfig(depth=1, dim=8, heads=2, patch=2, image=8, alpha=1.0)
+        cfg = ModelConfig(depth=1, dim=8, heads=2, patch=2, image=8, gamma=0.0, alpha=1.0)
         n = cfg.num_tokens
         for _ in range(20):
             x = rng.normal(size=(n, cfg.dim))
-            attn = make_attention(rng, cfg.heads, n)
+            attn = make_attention(rng, cfg.heads, x)
             fw = make_ffn_weights(rng, cfg.dim, cfg.hidden)
-            got, trace = sata_stage(x, attn, cfg, fw)
+            got, trace = sata_stage(attn, cfg, fw, 0)
             want, set_a, set_b, groups, residuals = naive_stage(
                 x, attn.mean_attention, cfg, fw)
             assert trace.n_a == len(set_a)
@@ -104,11 +104,11 @@ class TestNaiveStageOracle:
         rng = np.random.default_rng(778)
         n_tokens = ModelConfig(depth=1, dim=8, heads=2, patch=2, image=8).num_tokens
         for alpha in (0.25, 0.5, 2.0):
-            cfg = ModelConfig(depth=1, dim=8, heads=2, patch=2, image=8, alpha=alpha)
+            cfg = ModelConfig(depth=1, dim=8, heads=2, patch=2, image=8, gamma=0.0, alpha=alpha)
             x = rng.normal(size=(n_tokens, cfg.dim))
-            attn = make_attention(rng, cfg.heads, n_tokens)
+            attn = make_attention(rng, cfg.heads, x)
             fw = make_ffn_weights(rng, cfg.dim, cfg.hidden)
-            got, _ = sata_stage(x, attn, cfg, fw)
+            got, _ = sata_stage(attn, cfg, fw, 0)
             want, *_ = naive_stage(x, attn.mean_attention, cfg, fw)
             assert np.max(np.abs(got - want)) < 1e-9
 
@@ -218,11 +218,11 @@ class TestLoopReferenceBitwise:
         seen_n_a = set()
         for variant in (dict(), dict(alpha=0.3), dict(alpha=2.0), dict(alpha=1e9), "one-out"):
             x = self._features(rng, kind, n, d)
-            attn = make_attention(rng, base.heads, n)
+            attn = make_attention(rng, base.heads, x)
             if variant == "one-out":
                 variant = dict(alpha=alpha_leaving_one_out(x, attn))
             cfg = base.with_overrides(**variant)
-            got, trace = sata_stage(x, attn, cfg, fw, trace_scores=True)
+            got, trace = sata_stage(attn, cfg, fw, cfg.depth - 1, trace_scores=True)
             want, fields = loop_stage(x, attn, cfg, fw)
             assert np.array_equal(got, want)
             for name, value in fields.items():
@@ -402,7 +402,7 @@ class TestFfnFlops:
 
 class TestSataStage:
     def _cfg(self, **kw):
-        base = dict(depth=1, dim=4, heads=1, patch=2, image=4, num_classes=2)
+        base = dict(depth=1, dim=4, heads=1, patch=2, image=4, num_classes=2, gamma=0.0)
         base.update(kw)
         return ModelConfig(**base)
 
@@ -411,9 +411,9 @@ class TestSataStage:
         cfg = self._cfg(alpha=1e9)
         n = cfg.num_tokens
         x = rng.normal(size=(n, cfg.dim))
-        attn = make_attention(rng, cfg.heads, n)
+        attn = make_attention(rng, cfg.heads, x)
         fw = make_ffn_weights(rng, cfg.dim, cfg.hidden)
-        out, trace = sata_stage(x, attn, cfg, fw)
+        out, trace = sata_stage(attn, cfg, fw, 0)
         assert trace.n_a == 0
         vanilla = x + ffn(x, fw)
         assert np.max(np.abs(out - vanilla)) < 1e-12
@@ -423,9 +423,9 @@ class TestSataStage:
         cfg = self._cfg(alpha=1.0)
         n = cfg.num_tokens
         x = np.tile(np.array([0.3, -0.1, 0.7, 0.2]), (n, 1))
-        attn = make_attention(rng, cfg.heads, n)
+        attn = make_attention(rng, cfg.heads, x)
         fw = make_ffn_weights(rng, cfg.dim, cfg.hidden)
-        out, trace = sata_stage(x, attn, cfg, fw)
+        out, trace = sata_stage(attn, cfg, fw, 0)
         assert trace.n_a == 0 and trace.ffn_tokens == n
         assert np.max(np.abs(out - (x + ffn(x, fw)))) < 1e-12
 
@@ -443,7 +443,7 @@ class TestSataStage:
         attn = AttentionOutput(features=x, mean_attention=maps, per_head=maps[None])
         cfg = self._cfg(alpha=1e-3)
         fw = make_ffn_weights(rng, cfg.dim, cfg.hidden)
-        out, trace = sata_stage(x, attn, cfg, fw)
+        out, trace = sata_stage(attn, cfg, fw, 0)
         assert trace.n_a == 5 and trace.n_b == 0
         assert trace.n_groups == 1 and trace.n_residual == 1
         assert trace.residual_indices.tolist() == [3]
@@ -468,7 +468,7 @@ class TestSataStage:
         attn = AttentionOutput(features=x, mean_attention=maps, per_head=maps[None])
         cfg = self._cfg(alpha=1e-3)
         fw = make_ffn_weights(rng, cfg.dim, cfg.hidden)
-        out, trace = sata_stage(x, attn, cfg, fw)
+        out, trace = sata_stage(attn, cfg, fw, 0)
         # group is patches {0, 1, 2, 4}: each member gets the representative's
         # delta broadcast onto its own row
         rep = x[1:][[0, 1, 2, 4]].mean(axis=0)
@@ -483,8 +483,8 @@ class TestSataStage:
         fw = make_ffn_weights(rng, cfg.dim, cfg.hidden)
         for _ in range(50):
             x = rng.normal(size=(n, cfg.dim))
-            attn = make_attention(rng, cfg.heads, n)
-            out, trace = sata_stage(x, attn, cfg, fw, trace_scores=True)
+            attn = make_attention(rng, cfg.heads, x)
+            out, trace = sata_stage(attn, cfg, fw, 0, trace_scores=True)
             assert out.shape == x.shape
             assert trace.ffn_tokens == trace.n_b + trace.n_groups + 1
             assert trace.ffn_tokens <= n
@@ -493,14 +493,30 @@ class TestSataStage:
             assert trace.ffn_flops == ffn_flops(trace.ffn_tokens, cfg.dim, cfg.hidden)
             for idx in trace.residual_indices:
                 assert np.array_equal(out[1 + idx], x[1 + idx])
-            full, passive = sata_stage(x, attn, cfg, fw, merge=False, trace_scores=True)
+            full, passive = sata_stage(attn, cfg.with_overrides(sata_enabled=False), fw, 0,
+                                       trace_scores=True)
             assert np.array_equal(full, x + ffn(x, fw))
             assert passive.bounds == trace.bounds and passive.ffn_tokens == n
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_merge_rule(self, enabled, gamma):
+        rng = np.random.default_rng(47)
+        cfg = self._cfg(depth=4, dim=8, heads=2, image=8, gamma=gamma, alpha=1e-3,
+                        sata_enabled=enabled)
+        n = cfg.num_tokens
+        x = rng.normal(size=(n, cfg.dim))
+        attn = make_attention(rng, cfg.heads, x)
+        fw = make_ffn_weights(rng, cfg.dim, cfg.hidden)
+        for block in range(cfg.depth):
+            _, trace = sata_stage(attn, cfg, fw, block)
+            assert trace.block_index == block
+            assert (trace.n_a > 0) == (enabled and block >= cfg.sata_start_block)
 
     def test_too_few_tokens_rejected(self):
         rng = np.random.default_rng(46)
         cfg = self._cfg()
         fw = make_ffn_weights(rng, cfg.dim, cfg.hidden)
-        attn = make_attention(rng, 1, 1)
+        attn = make_attention(rng, 1, np.zeros((1, cfg.dim)))
         with pytest.raises(ValueError):
-            sata_stage(np.zeros((1, cfg.dim)), attn, cfg, fw)
+            sata_stage(attn, cfg, fw, 0)

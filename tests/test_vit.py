@@ -415,16 +415,39 @@ class TestForward:
                 assert np.array_equal(got.s_snapshot, want.s_snapshot)
                 assert got.ffn_flops == want.ffn_flops
 
+    @pytest.mark.parametrize("field, value", [
+        ("depth", 4), ("dim", 16), ("heads", 4), ("ffn_ratio", 2.0), ("patch", 4),
+        ("image", 16), ("num_classes", 5), ("channels", 3),
+    ])
+    def test_architecture_mismatch_rejected(self, small_model, field, value):
+        cfg = small_model.config
+        img = np.linspace(0, 1, cfg.image * cfg.image).reshape(cfg.image, cfg.image)
+        x = embed(img, small_model, cfg)
+        wrong = cfg.with_overrides(**{field: value})
+        for stop in (0, cfg.depth):
+            with pytest.raises(ValueError, match=f"weights in {field}$"):
+                run_blocks(x, small_model, wrong, 0, stop)
+        if field in ("depth", "heads", "ffn_ratio", "num_classes"):  # embed accepts these
+            with pytest.raises(ValueError, match=f"weights in {field}$"):
+                forward(img, small_model, wrong)
+
+    @pytest.mark.parametrize("overrides", [{"alpha": 0.25}, {"gamma": 0.0},
+                                           {"sata_enabled": False}])
+    def test_run_time_overrides_accepted(self, small_model, overrides):
+        cfg = small_model.config
+        img = np.linspace(0, 1, cfg.image * cfg.image).reshape(cfg.image, cfg.image)
+        logits, traces = forward(img, small_model, cfg.with_overrides(**overrides))
+        assert logits.shape == (cfg.num_classes,) and len(traces) == cfg.depth
+
     def test_stage_and_blocks_leave_arguments_untouched(self, small_model):
         cfg = small_model.config.with_overrides(gamma=0.0)
         img = np.linspace(0, 1, cfg.image * cfg.image).reshape(cfg.image, cfg.image)
         x = embed(img, small_model, cfg)
         attn = mhsa(x, attn_view(small_model, 0), cfg.heads)
-        for merge in (True, False):
-            assert_untouched(lambda xa, a, w: sata_stage(xa, a, cfg, w, merge=merge),
-                             attn.features, attn, ffn_view(small_model, 0))
         for stage in (True, False):
             run_cfg = cfg.with_overrides(sata_enabled=stage)
+            assert_untouched(lambda a, w: sata_stage(a, run_cfg, w, 0),
+                             attn, ffn_view(small_model, 0))
             assert_untouched(lambda s: run_blocks(s, small_model, run_cfg, 0, cfg.depth), x)
 
     @pytest.mark.parametrize("overrides", [{"sata_enabled": False}, {"gamma": 0.7}],
