@@ -31,8 +31,8 @@ res = split_tokens(scores, 1.0)
 plan = bipartite_match(res.set_a, features)
 
 print("\nbipartite matching over A (alpha = 1.0):")
-print("  sources A1 :", plan.a1.tolist())
-print("  targets A2 :", plan.a2.tolist())
+print("  sources A1 :", res.set_a[0::2].tolist())
+print("  targets A2 :", res.set_a[1::2].tolist())
 print("  edges      :", plan.edges)
 print("  members    :", plan.members.tolist(), "(by group, ascending target)")
 print("  group sizes:", plan.group_sizes.tolist(),

@@ -15,8 +15,9 @@ full FFN on the whole stream, and a trace with an empty out-of-band
 set.  ``trace_scores`` decides what else a trace holds.  Without it
 (the default) only stage blocks score and band the tokens, because
 they need the split, and no trace keeps a score.  With it every block
-scores and bands, and every trace keeps the scores, band bounds and
-class-token attention row.  The logits are the same either way.
+scores and bands, and every trace keeps the stage's
+:class:`~satavit.moran.SpatialScores`, band bounds and class-token
+attention row.  The logits are the same either way.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from .vit import ModelConfig, ffn, mhsa, patch_embed
 __all__ = ["forward", "embed", "run_blocks", "classify"]
 
 
-def embed(image, model: Model, cfg: ModelConfig) -> np.ndarray:
-    """Token stream entering block 0: patch projection, class token, positions."""
-    return patch_embed(image, embed_view(model), cfg)
+def embed(image, model: Model) -> np.ndarray:
+    """Token stream entering block 0, in the geometry of ``model.config``."""
+    return patch_embed(image, embed_view(model), model.config)
 
 
 def run_blocks(
@@ -109,6 +110,6 @@ def forward(
     # keeps it alive through the block loop; holding it changes the
     # allocation pattern and made a ViT-Ti forward about 8% slower
     x, traces = run_blocks(
-        embed(image, model, cfg), model, cfg, 0, cfg.depth, capture_streams, trace_scores
+        embed(image, model), model, cfg, 0, cfg.depth, capture_streams, trace_scores
     )
     return classify(x, model), traces

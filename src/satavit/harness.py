@@ -296,7 +296,7 @@ def _stability(model: Model, image, specs, cfg: ModelConfig) -> list[StabilityRe
     deltas = [
         np.array([
             (cosine_similarity(c.cls_attention, x.cls_attention),
-             cosine_similarity(c.s_snapshot, x.s_snapshot))
+             cosine_similarity(c.scores.s, x.scores.s))
             for c, x in zip(clean, traces)
         ])
         for traces in corrupted or [clean]
@@ -372,12 +372,12 @@ def stats_report(model: Model, images, cfg: ModelConfig | None = None) -> list[l
     )
     for traces in per_image:  # summed in image order
         sums += [
-            [tr.mean_s, tr.abs_median_s, *tr.bounds, tr.n_a, tr.n_b, tr.ffn_tokens,
-             tr.ffn_flops]
+            [tr.scores.mean_s, tr.scores.abs_median_s, *tr.bounds, tr.n_a, tr.n_b,
+             tr.ffn_tokens, tr.ffn_flops]
             for tr in traces
         ]
         for b, tr in enumerate(traces):
-            clipped = np.clip(tr.s_snapshot, HIST_RANGE[0], HIST_RANGE[1])
+            clipped = np.clip(tr.scores.s, HIST_RANGE[0], HIST_RANGE[1])
             counts, _ = np.histogram(clipped, bins=HIST_BINS, range=HIST_RANGE)
             hists[b] += counts
     means = sums / len(images)
@@ -390,11 +390,11 @@ def stats_report(model: Model, images, cfg: ModelConfig | None = None) -> list[l
 
 @dataclass(frozen=True)
 class SweepRecord:
-    param: str
+    """One swept value with its per-image mean FFN FLOPs and logit drift."""
+
     value: float
     total_flops: float
     logit_drift: float
-    ffn_tokens_per_block: tuple[float, ...]
 
 
 def _stage_off_segments(model: Model, image, cfg: ModelConfig, starts):
@@ -403,7 +403,7 @@ def _stage_off_segments(model: Model, image, cfg: ModelConfig, starts):
     ``starts`` must be ascending.  Returns the logits, one trace per
     block and the stream entering each block in ``starts``.
     """
-    x = embed(image, model, cfg)
+    x = embed(image, model)
     traces = []
     streams = {}
     done = 0
@@ -433,7 +433,7 @@ def sweep(
     path, so they are identical to the baseline's.  The baseline runs
     once per image, keeping its stream at every distinct start block;
     each value then runs only its blocks from ``start`` on and reuses
-    the baseline's traces (FFN FLOPs and tokens) for the blocks before.
+    the baseline's FFN FLOPs for the blocks before.
     """
     if param not in ("alpha", "gamma"):
         raise ValueError(f"sweep param must be 'alpha' or 'gamma', got {param!r}")
@@ -453,17 +453,13 @@ def sweep(
     )
 
     def run_tail(job):
-        """FFN FLOPs, logit drift and per-block FFN tokens of one (value, image)."""
+        """FFN FLOPs and logit drift of one (value, image)."""
         run_cfg, (base_logits, base_traces, streams) = job
         start = run_cfg.sata_start_block
         x, tail = run_blocks(streams[start], model, run_cfg, start, run_cfg.depth)
         logits = classify(x, model)
-        traces = base_traces[:start] + tail
-        return (
-            sum(tr.ffn_flops for tr in traces),
-            float(np.linalg.norm(logits - base_logits)),
-            [tr.ffn_tokens for tr in traces],
-        )
+        flops = sum(tr.ffn_flops for tr in base_traces[:start] + tail)
+        return flops, float(np.linalg.norm(logits - base_logits))
 
     tails = parallel.run(run_tail, [(c, b) for c in run_cfgs for b in baselines], count)
     n = len(images)
@@ -471,20 +467,10 @@ def sweep(
     for k, run_cfg in enumerate(run_cfgs):
         flops_total = 0.0
         drift_total = 0.0
-        tokens = np.zeros(run_cfg.depth)
-        for flops, drift, block_tokens in tails[k * n : (k + 1) * n]:  # in image order
+        for flops, drift in tails[k * n : (k + 1) * n]:  # in image order
             flops_total += flops
             drift_total += drift
-            tokens += block_tokens
-        records.append(
-            SweepRecord(
-                param=param,
-                value=getattr(run_cfg, param),
-                total_flops=flops_total / n,
-                logit_drift=drift_total / n,
-                ffn_tokens_per_block=tuple(tokens / n),
-            )
-        )
+        records.append(SweepRecord(getattr(run_cfg, param), flops_total / n, drift_total / n))
     return records
 
 

@@ -49,10 +49,12 @@ class SplitResult:
 
 @dataclass(frozen=True)
 class MergePlan:
-    """Bipartite matching outcome over the out-of-band set."""
+    """Bipartite matching outcome over the out-of-band set.
 
-    a1: np.ndarray  # sources: even positions of set_a
-    a2: np.ndarray  # targets: odd positions of set_a
+    Sources (even positions of ``set_a``) are the keys of ``edges``;
+    targets (odd positions) are its values plus ``residuals``.
+    """
+
     edges: dict[int, int]  # source token index -> target token index
     members: np.ndarray  # merged tokens by group (ascending target), ascending within
     group_sizes: np.ndarray  # member count of each group, in the same order
@@ -65,10 +67,11 @@ class BlockTrace:
     """Per-block record of split sizes, FFN load and, with ``trace_scores``, scores.
 
     The split sizes, FFN load and residual indices are always there.
-    The score fields (``s_snapshot``, ``bounds``, ``mean_s``,
-    ``abs_median_s`` and ``cls_attention``) are filled only with
-    ``trace_scores=True`` and are ``None`` otherwise, in every block.
-    ``x_pre``/``x_post`` are filled only with ``capture_streams``.
+    The score fields (``scores``, the stage's own :class:`SpatialScores`,
+    the band ``bounds`` and ``cls_attention``) are filled only with
+    ``trace_scores=True`` and are ``None`` otherwise, in every block;
+    ``split_tokens(trace.scores, alpha)`` re-bands the block at any
+    alpha.  ``x_pre``/``x_post`` are filled only with ``capture_streams``.
     """
 
     block_index: int
@@ -79,10 +82,8 @@ class BlockTrace:
     ffn_tokens: int
     ffn_flops: int
     residual_indices: np.ndarray
-    s_snapshot: Optional[np.ndarray] = None
+    scores: Optional[SpatialScores] = None
     bounds: Optional[tuple[float, float]] = None
-    mean_s: Optional[float] = None
-    abs_median_s: Optional[float] = None
     cls_attention: Optional[np.ndarray] = None
     x_pre: Optional[np.ndarray] = field(default=None, repr=False)
     x_post: Optional[np.ndarray] = field(default=None, repr=False)
@@ -118,9 +119,10 @@ def bipartite_match(set_a, features) -> MergePlan:
 
     Sources are the even positions of set_a's order, targets the odd
     positions.  Each source connects to its most similar target (argmax
-    cosine similarity, ties to the lowest token index); a target plus
-    its sources merge into a group represented by the unweighted mean
-    of their feature rows.  Targets without edges become residuals.
+    cosine similarity, ties to the lowest token index), so the sources
+    are the keys of ``edges``.  A target plus its sources merge into a
+    group represented by the unweighted mean of their feature rows.
+    Targets without edges become residuals.
     A set with fewer than two members yields an empty plan, the lone
     member (if any) turning residual.
     """
@@ -130,8 +132,6 @@ def bipartite_match(set_a, features) -> MergePlan:
     if set_a.size <= 1:
         none = np.empty(0, dtype=np.int64)
         return MergePlan(
-            a1=none,
-            a2=set_a.copy(),
             edges={},
             members=none,
             group_sizes=none,
@@ -173,8 +173,6 @@ def bipartite_match(set_a, features) -> MergePlan:
     reps /= group_sizes[:, None]
 
     return MergePlan(
-        a1=a1.copy(),
-        a2=a2.copy(),
         edges=edges,
         members=members,
         group_sizes=group_sizes,
@@ -261,10 +259,8 @@ def sata_stage(
     scored = {}
     if trace_scores:
         scored = dict(
-            s_snapshot=scores.s,
+            scores=scores,
             bounds=(split.lower, split.upper),
-            mean_s=scores.mean_s,
-            abs_median_s=scores.abs_median_s,
             # a copy, because a view would keep the (n, n) mean map alive
             cls_attention=attn.mean_attention[0, 1:].copy(),
         )

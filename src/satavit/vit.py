@@ -82,8 +82,12 @@ class ModelConfig:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if not self.alpha > 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.hidden < 1:
-            raise ValueError(f"ffn_ratio {self.ffn_ratio} gives an empty hidden layer")
+        width = self.ffn_ratio * self.dim
+        if not (math.isfinite(width) and round(width) >= 1):
+            raise ValueError(
+                f"config field 'ffn_ratio' must give a finite hidden width of at least 1 "
+                f"at dim {self.dim}, got {self.ffn_ratio!r} (width {width:g})"
+            )
 
     def _check_types(self) -> None:
         """Reject wrongly typed or non-finite fields before any comparison."""

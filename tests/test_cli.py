@@ -228,6 +228,8 @@ class TestConfigValidation:
         ("alpha", float("inf")),
         ("gamma", float("nan")),
         ("ffn_ratio", float("inf")),
+        ("ffn_ratio", 1e308),
+        ("ffn_ratio", -1e308),
         ("sata_enabled", "false"),
     ])
     def test_bad_field_exits_two_naming_it(self, capsys, tmp_path, field, value):
@@ -283,8 +285,11 @@ class TestMalformedManifest:
         (lambda m: m["tensors"][0].__setitem__("shape", 64), "not a list of integers"),
         (lambda m: m["tensors"][0].__setitem__("name", ["x"]), "non-string name"),
         (lambda m: m.__setitem__("tensors", {"pos_embed": 0}), "'tensors' must be a list"),
+        (lambda m: m["config"].__setitem__("ffn_ratio", 1e308), "'ffn_ratio'"),
+        (lambda m: m["config"].__setitem__("ffn_ratio", -1e308), "'ffn_ratio'"),
     ], ids=["int-entry", "str-entry", "no-name", "no-shape", "no-offset", "str-offset",
-            "float-offset", "null-offset", "int-shape", "list-name", "dict-tensors"])
+            "float-offset", "null-offset", "int-shape", "list-name", "dict-tensors",
+            "huge-ffn-ratio", "huge-negative-ffn-ratio"])
     def test_exits_two_with_message(self, capsys, model_path, tmp_path, edit, message):
         stem = _broken_manifest_model(model_path, tmp_path, edit)
         code, _, err = main_in_process(capsys, "forward", "--model", stem)

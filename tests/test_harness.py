@@ -167,7 +167,7 @@ def reference_averaged_stability(model, image, seed, cfg=None) -> list[list]:
             _, clean = forward(image, model, cfg=cfg, trace_scores=True)
             _, corr = forward(corrupt(image, spec), model, cfg=cfg, trace_scores=True)
             att = [cosine_similarity(c.cls_attention, x.cls_attention) for c, x in zip(clean, corr)]
-            sata = [cosine_similarity(c.s_snapshot, x.s_snapshot) for c, x in zip(clean, corr)]
+            sata = [cosine_similarity(c.scores.s, x.scores.s) for c, x in zip(clean, corr)]
             if sums_att is None:
                 sums_att = np.zeros(len(att))
                 sums_sata = np.zeros(len(sata))
@@ -185,7 +185,7 @@ def reference_stability(model, image, spec, cfg=None) -> list[list]:
                       trace_scores=True)
     return [[c.block_index,
              cosine_similarity(c.cls_attention, x.cls_attention),
-             cosine_similarity(c.s_snapshot, x.s_snapshot)]
+             cosine_similarity(c.scores.s, x.scores.s)]
             for c, x in zip(clean, corr)]
 
 
@@ -199,15 +199,15 @@ def reference_stats(model, images, cfg=None) -> list[list]:
     for image in images:
         _, traces = forward(image, model, cfg=run_cfg, trace_scores=True)
         for b, tr in enumerate(traces):
-            acc["mean_s"][b] += tr.mean_s
-            acc["abs_median_s"][b] += tr.abs_median_s
+            acc["mean_s"][b] += tr.scores.mean_s
+            acc["abs_median_s"][b] += tr.scores.abs_median_s
             acc["lower"][b] += tr.bounds[0]
             acc["upper"][b] += tr.bounds[1]
             acc["n_a"][b] += tr.n_a
             acc["n_b"][b] += tr.n_b
             acc["ffn_tokens"][b] += tr.ffn_tokens
             acc["ffn_flops"][b] += tr.ffn_flops
-            clipped = np.clip(tr.s_snapshot, *harness.HIST_RANGE)
+            clipped = np.clip(tr.scores.s, *harness.HIST_RANGE)
             counts, _ = np.histogram(clipped, bins=harness.HIST_BINS, range=harness.HIST_RANGE)
             hists[b] += counts
     n = len(images)
@@ -220,21 +220,18 @@ def reference_sweep(model, images, param, values, cfg=None):
     base_cfg = cfg if cfg is not None else model.config
     baselines = [forward(img, model, cfg=base_cfg.with_overrides(sata_enabled=False))[0]
                  for img in images]
-    rows, tokens_per_value = [], []
+    rows = []
     for value in values:
         run_cfg = base_cfg.with_overrides(sata_enabled=True, **{param: float(value)})
         flops_total = 0.0
         drift_total = 0.0
-        tokens = np.zeros(run_cfg.depth)
         for img, base_logits in zip(images, baselines):
             logits, traces = forward(img, model, cfg=run_cfg)
             flops_total += sum(tr.ffn_flops for tr in traces)
             drift_total += float(np.linalg.norm(logits - base_logits))
-            tokens += [tr.ffn_tokens for tr in traces]
         n = len(images)
         rows.append([float(value), flops_total / n, drift_total / n])
-        tokens_per_value.append(tuple(tokens / n))
-    return rows, tokens_per_value
+    return rows
 
 
 GAMMAS = [0.0, 0.25, 0.5, 0.7, 0.9, 1.0]
@@ -281,9 +278,8 @@ class TestReportsMatchReference:
         records = sweep(stage_model, images, param, values)
         rows = [[r.value, r.total_flops, r.logit_drift] for r in records]
         write_csv(out, SWEEP_HEADER, rows)
-        want, want_tokens = reference_sweep(stage_model, images, param, values)
+        want = reference_sweep(stage_model, images, param, values)
         assert rows == want
-        assert [r.ffn_tokens_per_block for r in records] == want_tokens
         assert out.read_bytes() == render_csv(SWEEP_HEADER, want).encode("utf-8")
 
     def test_sweep_run_config_overrides_stored_one(self, model, image, tmp_path):
@@ -291,7 +287,7 @@ class TestReportsMatchReference:
         out = tmp_path / "sweep.csv"
         records = sweep(model, [image], "alpha", [1.0, 1.5, 0.5], cfg=cfg)
         write_csv(out, SWEEP_HEADER, [[r.value, r.total_flops, r.logit_drift] for r in records])
-        want, _ = reference_sweep(model, [image], "alpha", [1.0, 1.5, 0.5], cfg=cfg)
+        want = reference_sweep(model, [image], "alpha", [1.0, 1.5, 0.5], cfg=cfg)
         assert out.read_bytes() == render_csv(SWEEP_HEADER, want).encode("utf-8")
 
 
@@ -351,7 +347,7 @@ def pool_model():
 
 
 def report_csvs(model) -> dict[str, str]:
-    """Every report's CSV on POOL_CFG inputs, with the sweep's per-block tokens."""
+    """Every report's CSV on POOL_CFG inputs."""
     images = [random_image(POOL_CFG, seed) for seed in (1, 2, 3)]
 
     def stability_csv(records):
@@ -359,7 +355,7 @@ def report_csvs(model) -> dict[str, str]:
 
     def sweep_csv(records):
         rows = [[r.value, r.total_flops, r.logit_drift] for r in records]
-        return render_csv(SWEEP_HEADER, rows) + repr([r.ffn_tokens_per_block for r in records])
+        return render_csv(SWEEP_HEADER, rows)
 
     return {
         "averaged": stability_csv(averaged_stability_report(model, images[0], seed=4)),
@@ -480,11 +476,6 @@ class TestSweep:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == ",".join(SWEEP_HEADER)
         assert len(lines) == 2
-
-    def test_per_block_tokens_tracked(self, model, image):
-        (rec,) = sweep(model, [image], "alpha", [1.0])
-        assert len(rec.ffn_tokens_per_block) == CFG.depth
-        assert all(t <= CFG.num_tokens for t in rec.ffn_tokens_per_block)
 
     def test_bad_param_rejected(self, model, image):
         with pytest.raises(ValueError):

@@ -70,10 +70,19 @@ def assert_bitwise_equal(got, want):
     assert np.array_equal(logits, want_logits)
     assert len(traces) == len(want_traces)
     for tr, ref in zip(traces, want_traces):
-        for field in dataclasses.fields(ref):
-            a, b = getattr(tr, field.name), getattr(ref, field.name)
-            assert (a is None) == (b is None), field.name
-            assert a is None or np.array_equal(a, b), (tr.block_index, field.name)
+        assert_fields_equal(tr, ref, (tr.block_index,))
+
+
+def assert_fields_equal(obj, ref, where):
+    """Every field of ``obj`` equals ``ref``'s; a dataclass field (``scores``) by its contents."""
+    for field in dataclasses.fields(ref):
+        a, b = getattr(obj, field.name), getattr(ref, field.name)
+        at = (*where, field.name)
+        assert (a is None) == (b is None), at
+        if dataclasses.is_dataclass(b):
+            assert_fields_equal(a, b, at)
+        else:
+            assert a is None or np.array_equal(a, b), at
 
 
 def lane_forwards(model, image, cfg, monkeypatch, counts=(2, 3, 4)):
@@ -167,6 +176,24 @@ class TestLaneOracle:
             sys.setswitchinterval(interval)
         for got in runs:
             assert_bitwise_equal(got, serial)
+
+
+class TestBitwiseHelper:
+    @pytest.mark.parametrize("name", ["s", "mean_s", "abs_median_s"])
+    def test_a_changed_score_fails(self, pool_model, name):
+        logits, traces = forward(random_image(POOL_CFG, 1), pool_model, POOL_CFG,
+                                 trace_scores=True)
+        assert_bitwise_equal((logits, traces), (logits, traces))
+        scores = traces[-1].scores
+        if name == "s":
+            value = scores.s.copy()
+            value[3] = np.nextafter(value[3], np.inf)
+        else:
+            value = np.nextafter(getattr(scores, name), np.inf)
+        changed = dataclasses.replace(
+            traces[-1], scores=dataclasses.replace(scores, **{name: value}))
+        with pytest.raises(AssertionError, match=f"'scores', '{name}'"):
+            assert_bitwise_equal((logits, traces[:-1] + [changed]), (logits, traces))
 
 
 class TestChunks:

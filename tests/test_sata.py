@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -169,12 +170,13 @@ def loop_stage(x, attn, cfg, fw):
         out[1 + members] += deltas[offset + gi]
     fields = dict(
         n_a=split.set_a.size, n_b=split.set_b.size, n_groups=len(groups),
-        n_residual=len(residuals), ffn_tokens=ffn_in.shape[0], s_snapshot=scores.s,
+        n_residual=len(residuals), ffn_tokens=ffn_in.shape[0],
         bounds=(split.lower, split.upper), ffn_flops=ffn_flops(ffn_in.shape[0], d, fw.w1.shape[1]),
-        mean_s=scores.mean_s, abs_median_s=scores.abs_median_s,
         residual_indices=np.array(residuals, dtype=np.int64),
         cls_attention=attn.mean_attention[0, 1:],
     )
+    fields.update({"scores.s": scores.s, "scores.mean_s": scores.mean_s,
+                   "scores.abs_median_s": scores.abs_median_s})
     return out, fields
 
 
@@ -226,7 +228,7 @@ class TestLoopReferenceBitwise:
             want, fields = loop_stage(x, attn, cfg, fw)
             assert np.array_equal(got, want)
             for name, value in fields.items():
-                assert np.array_equal(getattr(trace, name), value), name
+                assert np.array_equal(operator.attrgetter(name)(trace), value), name
             seen_n_a.add(trace.n_a)
         assert {0, 1} <= seen_n_a
 
@@ -304,8 +306,8 @@ class TestBipartiteMatch:
         feats[5] = [1.0, -0.01]
         feats[7] = [0.0, 1.0]   # never chosen -> residual
         plan = bipartite_match([0, 2, 5, 7], feats)
-        assert plan.a1.tolist() == [0, 5]
-        assert plan.a2.tolist() == [2, 7]
+        assert set(plan.edges) == {0, 5}  # sources: the even positions
+        assert set(plan.edges.values()) | set(plan.residuals.tolist()) == {2, 7}  # targets
         assert plan.edges == {0: 2, 5: 2}
         assert plan.members.tolist() == [0, 2, 5]
         assert plan.group_sizes.tolist() == [3]
@@ -315,15 +317,14 @@ class TestBipartiteMatch:
 
     def test_empty_set(self):
         plan = bipartite_match([], np.zeros((4, 3)))
-        assert plan.a1.size == 0 and plan.a2.size == 0
         assert plan.edges == {} and plan.residuals.size == 0
         assert plan.members.size == 0 and plan.group_sizes.size == 0
         assert plan.representatives.shape == (0, 3)
 
     def test_singleton_becomes_residual(self):
         plan = bipartite_match([4], np.ones((6, 3)))
-        assert plan.a1.size == 0
-        assert plan.residuals.tolist() == [4]
+        assert plan.edges == {}  # no source
+        assert plan.residuals.tolist() == [4]  # the one target
         assert plan.members.size == 0 and plan.group_sizes.size == 0
         assert plan.representatives.shape == (0, 3)
 
@@ -359,9 +360,12 @@ class TestBipartiteMatch:
             size = int(rng.integers(0, n + 1))
             set_a = np.sort(rng.permutation(n)[:size])
             plan = bipartite_match(set_a, feats)
-            assert np.array_equal(np.sort(np.concatenate([plan.a1, plan.a2])), set_a)
             if set_a.size > 1:
-                assert set(plan.edges) == set(plan.a1.tolist())
+                assert set(plan.edges) == set(set_a[0::2].tolist())
+                targets = set(plan.edges.values()) | set(plan.residuals.tolist())
+                assert targets == set(set_a[1::2].tolist())
+            else:
+                assert plan.edges == {} and plan.residuals.tolist() == set_a.tolist()
             groups = np.split(plan.members, np.cumsum(plan.group_sizes)[:-1])
             for rep, members in zip(plan.representatives, groups):
                 assert np.max(np.abs(rep - feats[members].mean(axis=0))) < 1e-12

@@ -404,7 +404,7 @@ class TestForward:
         img = np.linspace(0, 1, cfg.image * cfg.image).reshape(cfg.image, cfg.image)
         want_logits, want_traces = forward(img, small_model, cfg=cfg, trace_scores=True)
         for split in range(cfg.depth + 1):
-            x, head_traces = run_blocks(embed(img, small_model, cfg), small_model, cfg, 0, split,
+            x, head_traces = run_blocks(embed(img, small_model), small_model, cfg, 0, split,
                                         trace_scores=True)
             x, tail_traces = run_blocks(x, small_model, cfg, split, cfg.depth,
                                         trace_scores=True)
@@ -412,7 +412,7 @@ class TestForward:
             traces = head_traces + tail_traces
             assert [t.block_index for t in traces] == list(range(cfg.depth))
             for got, want in zip(traces, want_traces):
-                assert np.array_equal(got.s_snapshot, want.s_snapshot)
+                assert np.array_equal(got.scores.s, want.scores.s)
                 assert got.ffn_flops == want.ffn_flops
 
     @pytest.mark.parametrize("field, value", [
@@ -422,14 +422,13 @@ class TestForward:
     def test_architecture_mismatch_rejected(self, small_model, field, value):
         cfg = small_model.config
         img = np.linspace(0, 1, cfg.image * cfg.image).reshape(cfg.image, cfg.image)
-        x = embed(img, small_model, cfg)
+        x = embed(img, small_model)
         wrong = cfg.with_overrides(**{field: value})
         for stop in (0, cfg.depth):
             with pytest.raises(ValueError, match=f"weights in {field}$"):
                 run_blocks(x, small_model, wrong, 0, stop)
-        if field in ("depth", "heads", "ffn_ratio", "num_classes"):  # embed accepts these
-            with pytest.raises(ValueError, match=f"weights in {field}$"):
-                forward(img, small_model, wrong)
+        with pytest.raises(ValueError, match=f"weights in {field}$"):
+            forward(img, small_model, wrong)
 
     @pytest.mark.parametrize("overrides", [{"alpha": 0.25}, {"gamma": 0.0},
                                            {"sata_enabled": False}])
@@ -442,7 +441,7 @@ class TestForward:
     def test_stage_and_blocks_leave_arguments_untouched(self, small_model):
         cfg = small_model.config.with_overrides(gamma=0.0)
         img = np.linspace(0, 1, cfg.image * cfg.image).reshape(cfg.image, cfg.image)
-        x = embed(img, small_model, cfg)
+        x = embed(img, small_model)
         attn = mhsa(x, attn_view(small_model, 0), cfg.heads)
         for stage in (True, False):
             run_cfg = cfg.with_overrides(sata_enabled=stage)
@@ -460,7 +459,7 @@ class TestForward:
                             trace_scores=True)
         assert len(traces) == cfg.depth
         assert cfg.sata_start_block >= cfg.depth or not cfg.sata_enabled
-        x = embed(img, small_model, cfg)
+        x = embed(img, small_model)
         n, d = x.shape
         for i, tr in enumerate(traces):
             attn = mhsa(x, attn_view(small_model, i), cfg.heads)
@@ -472,9 +471,10 @@ class TestForward:
             assert (tr.n_a, tr.n_b, tr.n_groups, tr.n_residual) == (0, n - 1, 0, 0)
             assert tr.ffn_tokens == n
             assert tr.ffn_flops == ffn_flops(n, d, cfg.hidden)
-            assert np.array_equal(tr.s_snapshot, scores.s)
+            assert np.array_equal(tr.scores.s, scores.s)
             assert tr.bounds == (split.lower, split.upper)
-            assert tr.mean_s == scores.mean_s and tr.abs_median_s == scores.abs_median_s
+            assert tr.scores.mean_s == scores.mean_s
+            assert tr.scores.abs_median_s == scores.abs_median_s
             assert tr.residual_indices.dtype == np.int64 and tr.residual_indices.size == 0
             assert np.array_equal(tr.cls_attention, attn.mean_attention[0, 1:])
             assert np.array_equal(tr.x_pre, xa)
@@ -529,7 +529,7 @@ class TestTraceScores:
         "gamma-1": dict(gamma=1.0),
     }
     KEPT = ("n_a", "n_b", "n_groups", "n_residual", "ffn_tokens", "ffn_flops")
-    SCORED = ("s_snapshot", "bounds", "mean_s", "abs_median_s", "cls_attention")
+    SCORED = ("scores", "bounds", "cls_attention")
 
     @staticmethod
     def _model(shape):
