@@ -59,7 +59,8 @@ def run_blocks(
     must match ``model.config`` in every architecture field.  The stream
     is never modified in place, so a caller may keep it and resume from
     it.  The blocks run on ``parallel.lanes(cfg)``, decided once per
-    call.
+    call.  A non-finite intermediate raises ``FloatingPointError``
+    prefixed with ``block {i}: ``.
     """
     arch = ("depth", "dim", "heads", "ffn_ratio", "patch", "image", "num_classes", "channels")
     differ = [f for f in arch if getattr(cfg, f) != getattr(model.config, f)]
@@ -70,8 +71,11 @@ def run_blocks(
     lanes = parallel.lanes(cfg)
     traces: list[BlockTrace] = []
     for i in range(first, stop):
-        attn = mhsa(x, attn_view(model, i), cfg.heads, lanes)
-        x_next, trace = sata_stage(attn, cfg, ffn_view(model, i), i, lanes, trace_scores)
+        try:
+            attn = mhsa(x, attn_view(model, i), cfg.heads, lanes)
+            x_next, trace = sata_stage(attn, cfg, ffn_view(model, i), i, lanes, trace_scores)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"block {i}: {exc}") from exc
         if capture_streams:
             trace = replace(trace, x_pre=attn.features.copy(), x_post=x_next.copy())
         traces.append(trace)

@@ -31,9 +31,16 @@ __all__ = ["workers", "run", "Lanes", "SERIAL", "lanes"]
 
 # 2-thread/serial time, averaged report, 2 CPUs: 1.28x at 9.6M (d96), 0.84-1.15x at 17M (d128)
 _POOL_MIN_FFN_FLOPS = 10_000_000
-# 2-lane/serial time of a 12-block, 197-token forward, 2 CPUs: 0.95-1.01x at 116M (d192),
-# 0.96-0.99x at 206M (d256), 0.97x at 323M (d320), 0.74-0.82x at 465M (d384)
-_LANE_MIN_FFN_FLOPS = 400_000_000
+# 2-lane/serial median time of 12-block stage-on forwards, 2 CPUs, OpenBLAS at 1 thread,
+# lanes and serial interleaved in one process (40-60 pairs per run, 1-3 runs):
+#   FFN FLOPs  model                         lanes/serial  pairs lanes won
+#   1.3e7      d64 N197                      1.12x         5/40
+#   1.7-1.8e7  d128 N65, d256 N17            0.97-1.12x    2/40-25/40
+#   2.0-2.9e7  d80, d88, d96 N197; d96 N145  0.90-0.95x    23/40-42/60
+#   3.8-4.0e7  d112 N197, d192 N65, d256 N37 0.78-0.95x    25/40-53/60
+#   5.2-6.0e7  d128 N197, d192 N101          0.73-0.84x    40/40, 57/60, 54/60
+#   1.16e8     d192 N197 (ViT-Ti)            0.74x         40/40
+_LANE_MIN_FFN_FLOPS = 50_000_000
 
 # OpenBLAS runs a double GEMM with M*N*K <= 100**3 on its small-matrix
 # kernel, which rounds differently from the blocked one; a chunk of rows
@@ -61,8 +68,11 @@ def workers(cfg, min_ffn_flops: int = _POOL_MIN_FFN_FLOPS) -> int:
     calling thread (otherwise the threads oversubscribe the CPUs) and a
     block's FFN has at least ``min_ffn_flops``, so that the work is not
     mostly Python under the GIL.  Whole forwards pay from
-    ``_POOL_MIN_FFN_FLOPS``; lanes, which join twice per block, from
-    ``_LANE_MIN_FFN_FLOPS``.
+    ``_POOL_MIN_FFN_FLOPS``; lanes from ``_LANE_MIN_FFN_FLOPS``, the
+    smallest measured size where they won at least 9 of 10 pairs.  A
+    join itself is cheap (an empty two-item :func:`run` takes about
+    20 us), but below that size lanes lost, or won too few pairs to
+    tell from the spread between runs.
     """
     from .sata import ffn_flops  # sata imports vit, which imports this module
 

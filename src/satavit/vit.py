@@ -31,6 +31,8 @@ __all__ = [
 _INT_FIELDS = ("depth", "dim", "heads", "patch", "image", "num_classes", "channels")
 _FLOAT_FIELDS = ("ffn_ratio", "gamma", "alpha")
 _BOOL_FIELDS = ("sata_enabled",)
+# the most float64 weights (4 GiB) a config may need: ViT-L/16 needs about 3.0e8
+MAX_WEIGHTS = 2**29
 # fields of earlier manifests, loadable only at the one value the stage now
 # always uses (head-averaged attention, cosine matching, column contraction)
 _RETIRED_FIELDS = {
@@ -63,6 +65,9 @@ class ModelConfig:
 
     def __post_init__(self):
         self._check_types()
+        for name in _INT_FIELDS:  # each is at most a valid config's weight count
+            if getattr(self, name) > MAX_WEIGHTS:
+                raise ValueError(f"config field {name!r} must be at most {MAX_WEIGHTS}")
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
         if self.dim < 1 or self.heads < 1 or self.dim % self.heads != 0:
@@ -88,6 +93,12 @@ class ModelConfig:
                 f"config field 'ffn_ratio' must give a finite hidden width of at least 1 "
                 f"at dim {self.dim}, got {self.ffn_ratio!r} (width {width:g})"
             )
+        parts = self._weights_by_fields()
+        if sum(parts.values()) > MAX_WEIGHTS:
+            raise ValueError(
+                f"config fields {max(parts, key=parts.get)} give more than the "
+                f"{MAX_WEIGHTS} weights (4 GiB of float64) a model may have"
+            )
 
     def _check_types(self) -> None:
         """Reject wrongly typed or non-finite fields before any comparison."""
@@ -111,6 +122,22 @@ class ModelConfig:
                 raise ValueError(
                     f"config field {name!r} must be true or false, got {type(v).__name__} {v!r}"
                 )
+
+    def _weights_by_fields(self) -> dict[str, int]:
+        """The exact number of float64 weights, in parts keyed by the fields
+        each part grows with."""
+        d, h, p = int(self.dim), self.hidden, int(self.patch)  # no numpy int overflows
+        return {
+            "'depth', 'dim', 'ffn_ratio'": int(self.depth) * (4 * d * d + 2 * d * h + 9 * d + h),
+            "'dim', 'patch', 'channels'": d * (p * p * int(self.channels) + 2),
+            "'dim', 'image', 'patch'": d * ((int(self.image) // p) ** 2 + 1),
+            "'dim', 'num_classes'": (d + 1) * int(self.num_classes) + 2 * d,
+        }
+
+    @property
+    def num_weights(self) -> int:
+        """Float64 entries of every tensor the config requires."""
+        return sum(self._weights_by_fields().values())
 
     @property
     def hidden(self) -> int:

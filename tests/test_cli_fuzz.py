@@ -1,20 +1,24 @@
 """Fuzz every input the CLI reads, through ``cli.main`` in this process.
 
 Covered: the ``init --config`` JSON, the manifest (``format``,
-``checksum``, ``config`` and the tensor entries), and PGM/PPM and raw
-images through ``forward --image``.  Every case must end with exit code
-0, 1 or 2, with no exception escaping ``main`` and no traceback on
-stderr.
+``checksum``, ``config`` and the tensor entries), weight values behind
+a valid checksum through ``forward``, ``stats``, ``stability`` and
+``sweep``, and PGM/PPM and raw images through ``forward --image``.
+Every case must end with exit code 0, 1 or 2, with no exception
+escaping ``main`` and no traceback on stderr.
 
 Sizes stay small: ``init`` geometry is capped (every field at most 64,
 depth at most 4, channels at most 3, finite ``ffn_ratio`` at most 8),
-so no weights exceed a few MB, and the image and manifest cases run on
-one 8x8 model.  The cases are derandomized, so every run draws the
-same ones.
+so no weights exceed a few MB, and the image, manifest and weight cases
+run on one 8x8 model.  Configs above ``ModelConfig``'s weight cap are
+listed one by one: each must exit 2 naming a field, before anything is
+allocated.  The cases are derandomized, so every run draws the same
+ones.
 """
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -25,6 +29,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satavit import ModelConfig, cli, random_init, save_model
+from satavit.vit import MAX_WEIGHTS
 
 FUZZ = dict(derandomize=True, deadline=None)
 
@@ -132,6 +137,28 @@ def test_init_config(root, config, raw):
     run_main("init", "--model", root / "init", "--config", path)
 
 
+@pytest.mark.parametrize("config,field", [
+    ({"dim": 10**400, "heads": 1}, "'dim'"),
+    ({"dim": 10**2000, "heads": 3}, "'dim'"),
+    ({"dim": 10**6, "heads": 1}, "'dim'"),
+    ({"depth": 10**400}, "'depth'"),
+    ({"depth": 2**27}, "'depth'"),
+    ({"ffn_ratio": 1e300}, "'ffn_ratio'"),
+    ({"image": 10**6, "patch": 1}, "'image'"),
+    ({"patch": 2**13, "image": 2**13, "channels": 3}, "'patch'"),
+    ({"channels": 10**9}, "'channels'"),
+    ({"num_classes": 10**9}, "'num_classes'"),
+])
+def test_init_config_above_the_weight_cap(root, capsys, config, field):
+    path = root / "huge.json"
+    path.write_text(json.dumps(config))
+    code = cli.main(["init", "--model", str(root / "huge"), "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert field in err and str(MAX_WEIGHTS) in err
+    assert not (root / "huge.weights.bin").exists()
+
+
 TENSOR_VALUES = st.one_of(
     json_values(st.one_of(st.integers(-9, 10**30), st.text(max_size=12))),
     st.lists(st.integers(-1, 70), max_size=3),
@@ -181,6 +208,53 @@ def test_manifest(root, model, edits):
         edit_manifest(manifest, kind, edit)
     stem.with_name("broken.manifest.json").write_text(json.dumps(manifest))
     run_main("forward", "--model", stem.with_name("broken"))
+
+
+def write_weights(stem, manifest, blob):
+    """Save ``blob`` as the weights of a model with ``manifest`` and a matching checksum."""
+    manifest = {**manifest, "checksum": hashlib.blake2b(blob, digest_size=8).hexdigest()}
+    stem.with_name(stem.name + ".weights.bin").write_bytes(blob)
+    stem.with_name(stem.name + ".manifest.json").write_text(json.dumps(manifest))
+
+
+# what a corrupt but checksummed blob may hold: non-finite, overflowing and subnormal values
+WEIGHT_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 1e154,
+                                 5e-324, -5e-324, 2e-310])
+RUN_COMMANDS = (
+    ("forward",),
+    ("stats",),
+    ("stability", "--average"),
+    ("sweep", "--param", "alpha", "--values", "0.5,1.5"),
+)
+
+
+@settings(max_examples=100, **FUZZ)
+@given(slots=st.lists(st.tuples(st.integers(0, MODEL_CONFIG.num_weights - 1), WEIGHT_VALUES),
+                      min_size=1, max_size=3))
+def test_weight_values_past_the_checksum(root, model, slots):
+    stem, manifest = model
+    weights = np.frombuffer(stem.with_name("model.weights.bin").read_bytes(), "<f8").copy()
+    for index, value in slots:
+        weights[index] = value
+    corrupt = stem.with_name("corrupt")
+    write_weights(corrupt, manifest, weights.tobytes())
+    with np.errstate(all="ignore"):
+        for command in RUN_COMMANDS:
+            assert run_main(*command, "--model", corrupt) in (0, 2), command
+
+
+@pytest.mark.parametrize("block", range(MODEL_CONFIG.depth))
+def test_nan_weight_names_its_block(root, model, capsys, block):
+    stem, manifest = model
+    blob = bytearray(stem.with_name("model.weights.bin").read_bytes())
+    entry = next(e for e in manifest["tensors"] if e["name"] == f"block{block}.ffn.w1")
+    blob[entry["offset"]:entry["offset"] + 8] = np.array([math.nan], "<f8").tobytes()
+    corrupt = stem.with_name("nan")
+    write_weights(corrupt, manifest, bytes(blob))
+    assert cli.main(["forward", "--model", str(corrupt)]) == 2
+    err = capsys.readouterr().err
+    assert f"block {block}: gelu produced non-finite entries" in err
+    assert "Traceback" not in err
 
 
 def netpbm(magic, width, height, maxval, comment, body):

@@ -225,12 +225,13 @@ class TestRule:
 
     def test_lanes_from_their_own_floor(self, pinned):
         cpus = parallel._cpus()
-        assert parallel.lanes(VIT_S) == Lanes(cpus)
-        assert parallel.lanes(VIT_TI) == SERIAL  # reports still use the pool at this size
-        assert parallel.workers(VIT_TI) == cpus
-        for cfg in (VIT_S, VIT_TI):
+        assert parallel.lanes(VIT_S) == parallel.lanes(VIT_TI) == Lanes(cpus)
+        assert parallel.lanes(POOL_CFG) == SERIAL  # reports still use the pool at this size
+        assert parallel.workers(POOL_CFG) == cpus
+        for cfg in (VIT_S, VIT_TI, POOL_CFG):
             flops = ffn_flops(cfg.num_tokens, cfg.dim, cfg.hidden)
-            assert (flops >= parallel._LANE_MIN_FFN_FLOPS) == (cfg is VIT_S)
+            assert flops >= parallel._POOL_MIN_FFN_FLOPS
+            assert (flops >= parallel._LANE_MIN_FFN_FLOPS) == (cfg is not POOL_CFG)
 
     def test_serial_on_a_pool_thread(self, pinned):
         both_running = threading.Barrier(2, timeout=30)  # so a helper takes an item

@@ -8,10 +8,18 @@ import pytest
 
 from satavit import ModelConfig, forward, random_image, random_init, sata
 from satavit.engine import classify, embed, run_blocks
-from satavit.modelio import attn_view, embed_view, ffn_view, head_view
+from satavit.modelio import attn_view, embed_view, ffn_view, head_view, tensor_schema
 from satavit.moran import spatial_scores
 from satavit.sata import ffn_flops, sata_stage, split_tokens
-from satavit.vit import AttnWeights, EmbedWeights, FfnWeights, ffn, mhsa, patch_embed
+from satavit.vit import (
+    MAX_WEIGHTS,
+    AttnWeights,
+    EmbedWeights,
+    FfnWeights,
+    ffn,
+    mhsa,
+    patch_embed,
+)
 
 from test_tensorops import (
     assert_untouched,
@@ -189,6 +197,22 @@ class TestModelConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             ModelConfig.from_dict({"deptth": 3})
+
+    @pytest.mark.parametrize("cfg", [
+        ModelConfig(),
+        ModelConfig(depth=3, dim=24, heads=2, ffn_ratio=2.7, patch=2, image=6, num_classes=3,
+                    channels=2),
+        ModelConfig(depth=12, dim=192, heads=3, patch=16, image=224, channels=3),
+    ])
+    def test_num_weights_counts_the_schema(self, cfg):
+        assert cfg.num_weights == sum(math.prod(shape) for _, shape in tensor_schema(cfg))
+
+    def test_weight_cap_is_inclusive(self):
+        base = ModelConfig(num_classes=1)
+        most = 1 + (MAX_WEIGHTS - base.num_weights) // (base.dim + 1)
+        assert ModelConfig(num_classes=most).num_weights <= MAX_WEIGHTS
+        with pytest.raises(ValueError, match="'num_classes' give more than"):
+            ModelConfig(num_classes=most + 1)
 
 
 class TestPatchEmbed:
