@@ -84,10 +84,20 @@ def run_blocks(
 
 
 def classify(x: np.ndarray, model: Model) -> np.ndarray:
-    """Logits from the final stream: final LayerNorm, then the class-token head."""
+    """Logits from the final stream: final LayerNorm, then the class-token head.
+
+    A non-finite final LayerNorm or logit (say a NaN in ``head.weight``)
+    raises ``FloatingPointError`` prefixed with ``head: ``.
+    """
     head = head_view(model)
-    final = layer_norm(x, head.ln_gain, head.ln_bias)
-    return final[0] @ head.weight + head.bias
+    try:
+        final = layer_norm(x, head.ln_gain, head.ln_bias)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"head: {exc}") from exc
+    logits = final[0] @ head.weight + head.bias
+    if not np.isfinite(logits).all():
+        raise FloatingPointError("head: logits are non-finite")
+    return logits
 
 
 def forward(

@@ -1,8 +1,9 @@
 """Fuzz every input the CLI reads, through ``cli.main`` in this process.
 
 Covered: the ``init --config`` JSON, the manifest (``format``,
-``checksum``, ``config`` and the tensor entries), weight values behind
-a valid checksum through ``forward``, ``stats``, ``stability`` and
+``checksum``, ``config`` and the tensor entries, each case starting
+from a v1 or a v2 manifest), weight values behind a valid checksum of
+either format through ``forward``, ``stats``, ``stability`` and
 ``sweep``, and PGM/PPM and raw images through ``forward --image``.
 Every case must end with exit code 0, 1 or 2, with no exception
 escaping ``main`` and no traceback on stderr.
@@ -32,6 +33,13 @@ from satavit import ModelConfig, cli, random_init, save_model
 from satavit.vit import MAX_WEIGHTS
 
 FUZZ = dict(derandomize=True, deadline=None)
+
+# each manifest format and the blob digest it stores, computed here rather than by modelio
+DIGESTS = {
+    "satavit-weights-v1": lambda blob: hashlib.blake2b(blob, digest_size=8).hexdigest(),
+    "satavit-weights-v2": lambda blob: hashlib.sha256(blob).hexdigest(),
+}
+FORMATS = st.sampled_from(sorted(DIGESTS))
 
 MODEL_CONFIG = ModelConfig(depth=4, dim=16, heads=2, patch=2, image=8, num_classes=4,
                            gamma=0.5, alpha=1.0)
@@ -197,24 +205,33 @@ def edit_manifest(manifest, kind, edit):
         manifest[kind] = edit
 
 
+def with_checksum(manifest, blob, fmt):
+    """``manifest`` in format ``fmt``, with the checksum of ``blob`` that ``fmt`` stores."""
+    return {**manifest, "format": fmt, "checksum": DIGESTS[fmt](blob)}
+
+
 @settings(max_examples=200, **FUZZ)
-@given(edits=st.lists(MANIFEST_EDITS, max_size=2))
-@example(edits=[("fields", {"ffn_ratio": 1e308})])
-@example(edits=[("fields", {"ffn_ratio": -1e308})])
-def test_manifest(root, model, edits):
+@given(fmt=FORMATS, edits=st.lists(MANIFEST_EDITS, max_size=2))
+@example(fmt="satavit-weights-v2", edits=[("fields", {"ffn_ratio": 1e308})])
+@example(fmt="satavit-weights-v2", edits=[("fields", {"ffn_ratio": -1e308})])
+@example(fmt="satavit-weights-v2", edits=[("format", ["satavit-weights-v2"])])
+@example(fmt="satavit-weights-v1", edits=[("format", {"satavit-weights-v1": 1})])
+def test_manifest(root, model, fmt, edits):
     stem, saved = model
-    manifest = copy.deepcopy(saved)
+    blob = stem.with_name("broken.weights.bin").read_bytes()
+    manifest = copy.deepcopy(with_checksum(saved, blob, fmt))
     for kind, edit in edits:
         edit_manifest(manifest, kind, edit)
     stem.with_name("broken.manifest.json").write_text(json.dumps(manifest))
     run_main("forward", "--model", stem.with_name("broken"))
 
 
-def write_weights(stem, manifest, blob):
-    """Save ``blob`` as the weights of a model with ``manifest`` and a matching checksum."""
-    manifest = {**manifest, "checksum": hashlib.blake2b(blob, digest_size=8).hexdigest()}
+def write_weights(stem, manifest, blob, fmt="satavit-weights-v2"):
+    """Save ``blob`` as the weights of a model with ``manifest`` in format ``fmt``
+    and a matching checksum."""
     stem.with_name(stem.name + ".weights.bin").write_bytes(blob)
-    stem.with_name(stem.name + ".manifest.json").write_text(json.dumps(manifest))
+    stem.with_name(stem.name + ".manifest.json").write_text(
+        json.dumps(with_checksum(manifest, blob, fmt)))
 
 
 # what a corrupt but checksummed blob may hold: non-finite, overflowing and subnormal values
@@ -229,15 +246,16 @@ RUN_COMMANDS = (
 
 
 @settings(max_examples=100, **FUZZ)
-@given(slots=st.lists(st.tuples(st.integers(0, MODEL_CONFIG.num_weights - 1), WEIGHT_VALUES),
+@given(fmt=FORMATS,
+       slots=st.lists(st.tuples(st.integers(0, MODEL_CONFIG.num_weights - 1), WEIGHT_VALUES),
                       min_size=1, max_size=3))
-def test_weight_values_past_the_checksum(root, model, slots):
+def test_weight_values_past_the_checksum(root, model, fmt, slots):
     stem, manifest = model
     weights = np.frombuffer(stem.with_name("model.weights.bin").read_bytes(), "<f8").copy()
     for index, value in slots:
         weights[index] = value
     corrupt = stem.with_name("corrupt")
-    write_weights(corrupt, manifest, weights.tobytes())
+    write_weights(corrupt, manifest, weights.tobytes(), fmt)
     with np.errstate(all="ignore"):
         for command in RUN_COMMANDS:
             assert run_main(*command, "--model", corrupt) in (0, 2), command
@@ -255,6 +273,25 @@ def test_nan_weight_names_its_block(root, model, capsys, block):
     err = capsys.readouterr().err
     assert f"block {block}: gelu produced non-finite entries" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,index", [("head.weight", 0), ("head.bias", 3),
+                                        ("final_norm.gain", 5)])
+def test_non_finite_head_names_the_head(root, model, capsys, name, index):
+    stem, manifest = model
+    blob = bytearray(stem.with_name("model.weights.bin").read_bytes())
+    at = next(e for e in manifest["tensors"] if e["name"] == name)["offset"] + 8 * index
+    blob[at:at + 8] = np.array([math.nan], "<f8").tobytes()
+    corrupt = stem.with_name("nan_head")
+    write_weights(corrupt, manifest, bytes(blob))
+    out = root / "sweep.csv"
+    for command in (("forward",), ("sweep", "--param", "alpha", "--values", "0.5,1.5",
+                                   "--out", out)):
+        assert cli.main([*map(str, command), "--model", str(corrupt)]) == 2, command
+        err = capsys.readouterr().err
+        assert "error: head: " in err and "non-finite" in err and "Traceback" not in err
+    # the sweep fails before it writes a logit drift
+    assert not out.exists()
 
 
 def netpbm(magic, width, height, maxval, comment, body):

@@ -254,7 +254,7 @@ class TestSaveLoad:
         blob = b"pad" + (tmp_path / "m.weights.bin").read_bytes()
         for entry in manifest["tensors"]:
             entry["offset"] += 3
-        manifest["checksum"] = hashlib.blake2b(blob, digest_size=8).hexdigest()
+        manifest["checksum"] = hashlib.sha256(blob).hexdigest()
         (tmp_path / "m.weights.bin").write_bytes(blob)
         (tmp_path / "m.manifest.json").write_text(json.dumps(manifest))
         loaded = load_model(tmp_path / "m")
@@ -344,6 +344,17 @@ class TestSaveLoad:
         with pytest.raises(SchemaError, match="tensors"):
             load_model(tmp_path / "m")
 
+    @pytest.mark.parametrize("fmt", [
+        ["satavit-weights-v2"], {"satavit-weights-v2": 1}, None, 2, "satavit-weights-v3", "",
+    ], ids=["list", "object", "null", "int", "unknown", "empty"])
+    def test_unsupported_format_is_schema_error(self, tmp_path, fmt):
+        save_model(random_init(CFG, 11), tmp_path / "m")
+        manifest = json.loads((tmp_path / "m.manifest.json").read_text())
+        manifest["format"] = fmt
+        (tmp_path / "m.manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match="unsupported manifest format"):
+            load_model(tmp_path / "m")
+
     def test_manifest_not_an_object_is_schema_error(self, tmp_path):
         save_model(random_init(CFG, 11), tmp_path / "m")
         (tmp_path / "m.manifest.json").write_text("[]")
@@ -353,3 +364,62 @@ class TestSaveLoad:
     def test_missing_files_surface_path(self, tmp_path):
         with pytest.raises(OSError, match="nowhere"):
             load_model(tmp_path / "nowhere")
+
+
+def blake2b_64(blob: bytes) -> str:
+    return hashlib.blake2b(blob, digest_size=8).hexdigest()
+
+
+class TestFormats:
+    """``satavit-weights-v2`` stores a SHA-256 digest; ``-v1`` manifests, with a
+    64-bit BLAKE2b digest, still load.  Digests are computed here with hashlib."""
+
+    def saved(self, tmp_path):
+        model = random_init(CFG, 11)
+        save_model(model, tmp_path / "m")
+        manifest = json.loads((tmp_path / "m.manifest.json").read_text())
+        return model, manifest, (tmp_path / "m.weights.bin").read_bytes()
+
+    def rewrite(self, tmp_path, manifest, blob=None):
+        (tmp_path / "m.manifest.json").write_text(json.dumps(manifest))
+        if blob is not None:
+            (tmp_path / "m.weights.bin").write_bytes(blob)
+
+    def test_save_writes_v2_with_sha256(self, tmp_path):
+        model, manifest, blob = self.saved(tmp_path)
+        assert manifest["format"] == "satavit-weights-v2"
+        assert manifest["checksum"] == hashlib.sha256(blob).hexdigest()
+        assert model_checksum(model) == manifest["checksum"]
+        assert model_checksum(load_model(tmp_path / "m")) == manifest["checksum"]
+
+    def test_v1_manifest_loads(self, tmp_path):
+        model, manifest, blob = self.saved(tmp_path)
+        self.rewrite(tmp_path, {**manifest, "format": "satavit-weights-v1",
+                                "checksum": blake2b_64(blob)})
+        loaded = load_model(tmp_path / "m")
+        assert loaded.config == model.config
+        for name, arr in model.params.items():
+            assert loaded.params[name].tobytes() == arr.tobytes(), name
+        # the checksum a save would write now is the v2 one
+        assert model_checksum(loaded) == hashlib.sha256(blob).hexdigest()
+
+    def test_v1_flipped_byte_is_checksum_error(self, tmp_path):
+        _, manifest, blob = self.saved(tmp_path)
+        flipped = bytearray(blob)
+        flipped[100] ^= 0xFF
+        self.rewrite(tmp_path, {**manifest, "format": "satavit-weights-v1",
+                                "checksum": blake2b_64(blob)}, bytes(flipped))
+        with pytest.raises(ChecksumError, match="checksum mismatch"):
+            load_model(tmp_path / "m")
+
+    def test_v2_with_a_blake2b_digest_is_checksum_error(self, tmp_path):
+        _, manifest, blob = self.saved(tmp_path)
+        self.rewrite(tmp_path, {**manifest, "checksum": blake2b_64(blob)})
+        with pytest.raises(ChecksumError, match="checksum mismatch"):
+            load_model(tmp_path / "m")
+
+    def test_v1_with_a_sha256_digest_is_checksum_error(self, tmp_path):
+        _, manifest, _ = self.saved(tmp_path)
+        self.rewrite(tmp_path, {**manifest, "format": "satavit-weights-v1"})
+        with pytest.raises(ChecksumError, match="checksum mismatch"):
+            load_model(tmp_path / "m")

@@ -372,6 +372,21 @@ class TestBipartiteMatch:
             covered = plan.residuals.tolist() + plan.members.tolist()
             assert sorted(covered) == sorted(set_a.tolist())
 
+    def test_representatives_are_the_mean_bitwise(self):
+        # groups of 2 to 8 members, and a column that is -0.0 in every member:
+        # numpy's mean gives +0.0 there, so a sum must start from +0.0, not
+        # from a copy of the first member
+        rng = np.random.default_rng(33)
+        for _ in range(40):
+            n = int(rng.integers(2, 60))
+            feats = rng.normal(size=(n, 6)) + rng.normal(size=6) * rng.uniform(0, 8)
+            feats[:, 2] = -0.0
+            set_a = np.sort(rng.permutation(n)[:int(rng.integers(2, n + 1))])
+            plan = bipartite_match(set_a, feats)
+            groups = np.split(plan.members, np.cumsum(plan.group_sizes)[:-1])
+            want = np.array([feats[members].mean(axis=0) for members in groups])
+            assert plan.representatives.tobytes() == want.tobytes()
+
     def test_deterministic(self):
         rng = np.random.default_rng(32)
         feats = rng.normal(size=(12, 4))

@@ -8,7 +8,7 @@ import pytest
 
 from satavit import ModelConfig, forward, random_image, random_init, sata
 from satavit.engine import classify, embed, run_blocks
-from satavit.modelio import attn_view, embed_view, ffn_view, head_view, tensor_schema
+from satavit.modelio import Model, attn_view, embed_view, ffn_view, head_view, tensor_schema
 from satavit.moran import spatial_scores
 from satavit.sata import ffn_flops, sata_stage, split_tokens
 from satavit.vit import (
@@ -407,6 +407,17 @@ class TestFfn:
 
 
 class TestForward:
+    @pytest.mark.parametrize("name,value", [("head.weight", math.nan), ("head.bias", math.inf),
+                                            ("final_norm.gain", math.nan)])
+    def test_non_finite_head_raises(self, small_model, name, value):
+        params = dict(small_model.params)
+        params[name] = params[name].copy()
+        params[name].flat[0] = value
+        broken = Model(config=small_model.config, params=params)
+        img = random_image(small_model.config, 0)
+        with pytest.raises(FloatingPointError, match="^head: "):
+            forward(img, broken)
+
     def test_gamma_one_is_bitwise_vanilla(self, small_model):
         cfg = small_model.config
         img = np.linspace(0, 1, cfg.image * cfg.image).reshape(cfg.image, cfg.image)
