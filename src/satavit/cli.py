@@ -71,17 +71,20 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("stability", help="clean-vs-corrupted similarity CSV")
     _add_run_flags(p)
+    # None tells an omitted flag from a given one; _cmd_stability resolves the defaults
     p.add_argument(
         "--corruption",
-        default="gaussian_noise",
+        default=None,
         choices=harness.CORRUPTION_KINDS + ("none",),
-        help="'none' compares the clean image with itself",
+        help="default gaussian_noise; 'none' compares the clean image with itself",
     )
-    p.add_argument("--severity", type=int, default=3, choices=range(1, 6))
+    p.add_argument("--severity", type=int, default=None, choices=range(1, 6),
+                   help="default 3")
     p.add_argument(
         "--average",
         action="store_true",
-        help="average deltas over every (kind, severity) pair",
+        help="average deltas over every (kind, severity) pair; "
+        "takes neither --corruption nor --severity",
     )
 
     p = sub.add_parser("sweep", help="alpha/gamma sweep CSV")
@@ -168,6 +171,12 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    given = [flag for flag, value in (("--corruption", args.corruption),
+                                      ("--severity", args.severity)) if value is not None]
+    if args.average and given:
+        raise UsageError(f"--average takes no {' or '.join(given)}")
+    if args.corruption == "none" and args.severity is not None:
+        raise UsageError("--corruption none takes no --severity")
     model, cfg = _load_run(args)
     image = _load_images(args, cfg, at_most_one=True)[0]
     if args.average:
@@ -176,7 +185,9 @@ def _cmd_stability(args) -> int:
         records = harness.stability_report(model, image, spec=None, cfg=cfg)
     else:
         spec = harness.CorruptionSpec(
-            kind=args.corruption, severity=args.severity, seed=args.seed
+            kind=args.corruption or "gaussian_noise",
+            severity=3 if args.severity is None else args.severity,
+            seed=args.seed,
         )
         records = harness.stability_report(model, image, spec, cfg=cfg)
     rows = [[r.block_index, r.delta_attention, r.delta_sata] for r in records]

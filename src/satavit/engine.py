@@ -22,8 +22,6 @@ attention row.  The logits are the same either way.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from . import parallel
@@ -48,7 +46,6 @@ def run_blocks(
     cfg: ModelConfig,
     first: int,
     stop: int,
-    capture_streams: bool = False,
     trace_scores: bool = False,
 ) -> tuple[np.ndarray, list[BlockTrace]]:
     """Run blocks ``first .. stop - 1`` on the stream ``x`` entering block ``first``.
@@ -61,6 +58,12 @@ def run_blocks(
     it.  The blocks run on ``parallel.lanes(cfg)``, decided once per
     call.  A non-finite intermediate raises ``FloatingPointError``
     prefixed with ``block {i}: ``.
+
+    A caller that needs each block's streams steps the blocks one call
+    at a time: ``run_blocks(x, model, cfg, i, i + 1)`` gives the stream
+    leaving block ``i``, bitwise equal to the one ``forward`` passes on,
+    and ``mhsa(x, model.blocks[i][0], cfg.heads).features`` the pre-FFN
+    stream the stage reads.
     """
     arch = ("depth", "dim", "heads", "ffn_ratio", "patch", "image", "num_classes", "channels")
     differ = [f for f in arch if getattr(cfg, f) != getattr(model.config, f)]
@@ -76,8 +79,6 @@ def run_blocks(
             x_next, trace = sata_stage(attn, cfg, ffn_view(model, i), i, lanes, trace_scores)
         except FloatingPointError as exc:
             raise FloatingPointError(f"block {i}: {exc}") from exc
-        if capture_streams:
-            trace = replace(trace, x_pre=attn.features.copy(), x_post=x_next.copy())
         traces.append(trace)
         x = x_next
     return x, traces
@@ -104,26 +105,22 @@ def forward(
     image,
     model: Model,
     cfg: ModelConfig | None = None,
-    capture_streams: bool = False,
     trace_scores: bool = False,
 ) -> tuple[np.ndarray, list[BlockTrace]]:
     """Run all blocks and the classifier head on one image.
 
     ``cfg`` overrides the model's stored config for run-time settings
     (alpha, gamma, stage on/off); architecture fields must match the
-    weights.  With ``capture_streams`` each trace also keeps the
-    pre-FFN and post-block token tensors for inspection.  With
-    ``trace_scores`` each trace also keeps the block's scores, band
-    bounds and class-token attention row; without it, the default,
-    those fields are ``None`` and blocks where the stage does not merge
-    skip scoring.
+    weights.  With ``trace_scores`` each trace also keeps the block's
+    scores, band bounds and class-token attention row; without it, the
+    default, those fields are ``None`` and blocks where the stage does
+    not merge skip scoring.  The traces keep no token streams;
+    :func:`run_blocks` over one block at a time gives them.
     """
     if cfg is None:
         cfg = model.config
     # the embedding goes straight into run_blocks so that no local here
     # keeps it alive through the block loop; holding it changes the
     # allocation pattern and made a ViT-Ti forward about 8% slower
-    x, traces = run_blocks(
-        embed(image, model), model, cfg, 0, cfg.depth, capture_streams, trace_scores
-    )
+    x, traces = run_blocks(embed(image, model), model, cfg, 0, cfg.depth, trace_scores)
     return classify(x, model), traces

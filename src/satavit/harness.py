@@ -18,6 +18,7 @@ sums in the serial order and the CSVs do not depend on the pool.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from .moran import SpatialScores, spatial_scores
 from .rng import SplitMix64
 from .sata import bipartite_match, sata_stage, split_tokens
 from .tensorops import cosine_similarity, row_softmax
-from .vit import AttentionOutput, FfnWeights, ModelConfig, ffn
+from .vit import AttentionOutput, FfnWeights, ModelConfig, ffn, mhsa
 
 __all__ = [
     "CORRUPTION_KINDS",
@@ -38,7 +39,6 @@ __all__ = [
     "StabilityRecord",
     "SweepRecord",
     "corrupt",
-    "cosine_similarity",
     "stability_report",
     "averaged_stability_report",
     "stats_report",
@@ -87,7 +87,13 @@ class CorruptionSpec:
             raise ValueError(
                 f"unknown corruption kind {self.kind!r}; choices: {CORRUPTION_KINDS}"
             )
-        if not 1 <= int(self.severity) <= 5:
+        for name in ("severity", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Integral):
+                raise ValueError(
+                    f"corruption field {name!r} must be an integer, got {type(v).__name__} {v!r}"
+                )
+        if not 1 <= self.severity <= 5:
             raise ValueError(f"severity must be in 1..5, got {self.severity}")
 
 
@@ -598,12 +604,14 @@ def _check_restoration(gen: SplitMix64, cases: int) -> float:
     for _ in range(cases):
         model = random_init(cfg, seed=int(gen.next_uint64(1)[0]))
         image = random_image(cfg, seed=int(gen.next_uint64(1)[0]))
-        _, traces = forward(image, model, capture_streams=True)
-        for tr in traces:
-            if tr.x_post.shape != tr.x_pre.shape:
+        x = embed(image, model)
+        for i, (attn_weights, ffn_weights) in enumerate(model.blocks):
+            attn = mhsa(x, attn_weights, cfg.heads)
+            x, trace = sata_stage(attn, cfg, ffn_weights, i)
+            if x.shape != attn.features.shape:
                 violations += 1
-            for idx in tr.residual_indices:
-                if not np.array_equal(tr.x_post[1 + idx], tr.x_pre[1 + idx]):
+            for idx in trace.residual_indices:
+                if not np.array_equal(x[1 + idx], attn.features[1 + idx]):
                     violations += 1
     return float(violations)
 

@@ -16,7 +16,7 @@ through unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -71,7 +71,9 @@ class BlockTrace:
     the band ``bounds`` and ``cls_attention``) are filled only with
     ``trace_scores=True`` and are ``None`` otherwise, in every block;
     ``split_tokens(trace.scores, alpha)`` re-bands the block at any
-    alpha.  ``x_pre``/``x_post`` are filled only with ``capture_streams``.
+    alpha.  A trace keeps no token stream: ``engine.run_blocks`` over
+    the one block gives its output, and ``mhsa(...).features`` the
+    pre-FFN stream.
     """
 
     block_index: int
@@ -85,8 +87,6 @@ class BlockTrace:
     scores: Optional[SpatialScores] = None
     bounds: Optional[tuple[float, float]] = None
     cls_attention: Optional[np.ndarray] = None
-    x_pre: Optional[np.ndarray] = field(default=None, repr=False)
-    x_post: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def split_tokens(scores: SpatialScores, alpha: float) -> SplitResult:

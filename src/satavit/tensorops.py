@@ -1,8 +1,12 @@
 """Dense numerical kernels shared across the package.
 
 Matrices are plain 2-D C-contiguous float64 ndarrays.  Every public
-operation validates shapes against its contract and guarantees a finite
-result; the heavy lifting is delegated to numpy/scipy.
+operation validates shapes against its contract; the heavy lifting is
+delegated to numpy/scipy.  The kernels ``row_softmax``, ``layer_norm``
+and ``gelu`` guarantee a finite result and raise ``FloatingPointError``
+otherwise.  ``as_matrix`` and ``cosine_similarity`` do not check
+finiteness: a non-finite input passes through, and
+``cosine_similarity([nan, 1], [1, 1])`` returns ``nan``.
 
 Kernel contract: every kernel returns a fresh array, never writes into
 its arguments, and is bitwise equal to its textbook formula.  Only

@@ -22,9 +22,11 @@ from satavit import (
     split_tokens,
     stability_report,
 )
+from satavit.engine import embed
 from satavit.harness import _naive_spatial_scores as naive_scores
 from satavit.moran import SpatialScores
-from satavit.sata import ffn_flops
+from satavit.sata import ffn_flops, sata_stage
+from satavit.vit import mhsa
 
 from conftest import run_cli
 
@@ -80,12 +82,13 @@ def test_restoration_invariant(base_model, report):
     cfg = base_model.config  # gamma 0.7, alpha 1.0
     ok = True
     for i in range(50):
-        img = random_image(cfg, seed=2000 + i)
-        _, traces = forward(img, base_model, capture_streams=True)
-        for tr in traces:
-            ok &= tr.x_post.shape == tr.x_pre.shape == (cfg.num_tokens, cfg.dim)
+        x = embed(random_image(cfg, seed=2000 + i), base_model)
+        for b, (attn_weights, ffn_weights) in enumerate(base_model.blocks):
+            attn = mhsa(x, attn_weights, cfg.heads)
+            x, tr = sata_stage(attn, cfg, ffn_weights, b)
+            ok &= x.shape == attn.features.shape == (cfg.num_tokens, cfg.dim)
             for idx in tr.residual_indices:
-                ok &= bool(np.array_equal(tr.x_post[1 + idx], tr.x_pre[1 + idx]))
+                ok &= bool(np.array_equal(x[1 + idx], attn.features[1 + idx]))
     report("restoration_invariant", ok)
 
 

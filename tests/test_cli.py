@@ -173,6 +173,34 @@ class TestSubcommands:
         assert res.returncode == 0
         assert len(out.read_text().splitlines()) == 1 + CONFIG["depth"]
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--average", "--corruption", "contrast"], ["--corruption"]),
+        (["--average", "--severity", "5"], ["--severity"]),
+        (["--average", "--corruption", "contrast", "--severity", "5"],
+         ["--corruption", "--severity"]),
+        (["--average", "--corruption", "none"], ["--corruption"]),
+        (["--corruption", "none", "--severity", "2"], ["--severity"]),
+    ])
+    def test_stability_ignored_flag_is_usage_error(self, capsys, model_path, tmp_path,
+                                                   flags, named):
+        out = tmp_path / "never.csv"
+        code, stdout, err = main_in_process(capsys, "stability", "--model", model_path,
+                                            *flags, "--out", out)
+        assert code == 1 and stdout == "" and not out.exists()
+        assert all(flag in err for flag in named), err
+
+    def test_stability_defaults_are_gaussian_noise_at_3(self, capsys, model_path):
+        code, implicit, _ = main_in_process(capsys, "stability", "--model", model_path,
+                                            "--seed", 2)
+        assert code == 0
+        code, explicit, _ = main_in_process(capsys, "stability", "--model", model_path,
+                                            "--seed", 2, "--corruption", "gaussian_noise",
+                                            "--severity", 3)
+        assert code == 0 and explicit == implicit
+        code, other, _ = main_in_process(capsys, "stability", "--model", model_path,
+                                         "--seed", 2, "--severity", 4)
+        assert code == 0 and other != implicit
+
     def test_sweep_schema_and_band_cover(self, model_path):
         res = run_cli("sweep", "--model", model_path, "--param", "alpha",
                       "--values", "0.5,1.0,1e9", "--seed", 5)

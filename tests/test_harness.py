@@ -112,6 +112,18 @@ class TestCorrupt:
         with pytest.raises(ValueError, match="kind"):
             CorruptionSpec("speckle", 1, seed=0)
 
+    @pytest.mark.parametrize("field,severity,seed", [
+        ("severity", 2.5, 0), ("severity", 3.0, 0), ("severity", "3", 0),
+        ("severity", True, 0), ("seed", 3, 1.5), ("seed", 3, "1"), ("seed", 3, False),
+    ])
+    def test_non_integer_severity_or_seed_rejected_naming_it(self, field, severity, seed):
+        with pytest.raises(ValueError, match=f"{field!r} must be an integer"):
+            CorruptionSpec("box_blur", severity, seed=seed)
+
+    def test_numpy_integers_accepted(self, image):
+        spec = CorruptionSpec("box_blur", np.int64(2), seed=np.uint64(4))
+        assert np.array_equal(corrupt(image, spec), corrupt(image, CorruptionSpec("box_blur", 2, 4)))
+
 
 class TestStability:
     def test_clean_clean_deltas_exactly_one(self, model, image):

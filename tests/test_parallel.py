@@ -1,7 +1,9 @@
 """Lanes inside one forward and the pool rule they share with the reports.
 
-The oracle for every lane count is the serial path: logits and every
-``BlockTrace`` field must be bitwise equal.  Lane counts are forced by
+The oracle for every lane count is the serial path: logits, every
+``BlockTrace`` field and every block's output stream must be bitwise
+equal.  The forwards step ``run_blocks`` one block per call to see the
+streams.  Lane counts are forced by
 patching ``parallel.workers``, the one rule both the report pool and
 the lanes read.
 """
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from satavit import ModelConfig, harness, parallel, random_init, vit
-from satavit.engine import forward
+from satavit.engine import classify, embed, forward, run_blocks
 from satavit.harness import (
     STATS_HEADER,
     SWEEP_HEADER,
@@ -66,11 +68,12 @@ def force_workers(monkeypatch, count):
 
 
 def assert_bitwise_equal(got, want):
-    (logits, traces), (want_logits, want_traces) = got, want
+    (logits, traces, streams), (want_logits, want_traces, want_streams) = got, want
     assert np.array_equal(logits, want_logits)
-    assert len(traces) == len(want_traces)
-    for tr, ref in zip(traces, want_traces):
+    assert len(traces) == len(want_traces) == len(streams) == len(want_streams)
+    for tr, ref, x, want_x in zip(traces, want_traces, streams, want_streams):
         assert_fields_equal(tr, ref, (tr.block_index,))
+        assert np.array_equal(x, want_x), (tr.block_index, "stream")
 
 
 def assert_fields_equal(obj, ref, where):
@@ -85,14 +88,25 @@ def assert_fields_equal(obj, ref, where):
             assert a is None or np.array_equal(a, b), at
 
 
+def stepped_forward(image, model, cfg):
+    """(logits, traces with scores, each block's output stream), one block per call."""
+    x = embed(image, model)
+    traces, streams = [], []
+    for i in range(cfg.depth):
+        x, (trace,) = run_blocks(x, model, cfg, i, i + 1, trace_scores=True)
+        traces.append(trace)
+        streams.append(x)
+    return classify(x, model), traces, streams
+
+
 def lane_forwards(model, image, cfg, monkeypatch, counts=(2, 3, 4)):
-    """The serial forward, then one per forced lane count, with every trace field filled."""
+    """The serial stepped forward, then one per forced lane count."""
     force_workers(monkeypatch, 1)
-    serial = forward(image, model, cfg, capture_streams=True, trace_scores=True)
+    serial = stepped_forward(image, model, cfg)
     runs = {}
     for count in counts:
         force_workers(monkeypatch, count)
-        runs[count] = forward(image, model, cfg, capture_streams=True, trace_scores=True)
+        runs[count] = stepped_forward(image, model, cfg)
     return serial, runs
 
 
@@ -165,13 +179,12 @@ class TestLaneOracle:
     def test_stress_more_lanes_than_cores_with_fast_switching(self, pool_model, monkeypatch):
         image = random_image(POOL_CFG, 3)
         force_workers(monkeypatch, 1)
-        serial = forward(image, pool_model, POOL_CFG, capture_streams=True, trace_scores=True)
+        serial = stepped_forward(image, pool_model, POOL_CFG)
         force_workers(monkeypatch, 2 * parallel._cpus() + 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            runs = [forward(image, pool_model, POOL_CFG, capture_streams=True, trace_scores=True)
-                    for _ in range(5)]
+            runs = [stepped_forward(image, pool_model, POOL_CFG) for _ in range(5)]
         finally:
             sys.setswitchinterval(interval)
         for got in runs:
@@ -181,9 +194,9 @@ class TestLaneOracle:
 class TestBitwiseHelper:
     @pytest.mark.parametrize("name", ["s", "mean_s", "abs_median_s"])
     def test_a_changed_score_fails(self, pool_model, name):
-        logits, traces = forward(random_image(POOL_CFG, 1), pool_model, POOL_CFG,
-                                 trace_scores=True)
-        assert_bitwise_equal((logits, traces), (logits, traces))
+        logits, traces, streams = stepped_forward(random_image(POOL_CFG, 1), pool_model,
+                                                  POOL_CFG)
+        assert_bitwise_equal((logits, traces, streams), (logits, traces, streams))
         scores = traces[-1].scores
         if name == "s":
             value = scores.s.copy()
@@ -193,7 +206,17 @@ class TestBitwiseHelper:
         changed = dataclasses.replace(
             traces[-1], scores=dataclasses.replace(scores, **{name: value}))
         with pytest.raises(AssertionError, match=f"'scores', '{name}'"):
-            assert_bitwise_equal((logits, traces[:-1] + [changed]), (logits, traces))
+            assert_bitwise_equal((logits, traces[:-1] + [changed], streams),
+                                 (logits, traces, streams))
+
+    def test_a_changed_stream_fails(self, pool_model):
+        logits, traces, streams = stepped_forward(random_image(POOL_CFG, 1), pool_model,
+                                                  POOL_CFG)
+        changed = streams[1].copy()
+        changed[5, 7] = np.nextafter(changed[5, 7], np.inf)
+        with pytest.raises(AssertionError, match="'stream'"):
+            assert_bitwise_equal((logits, traces, [streams[0], changed, *streams[2:]]),
+                                 (logits, traces, streams))
 
 
 class TestChunks:

@@ -31,3 +31,33 @@ def test_every_traced_name_resolves():
         if not hasattr(importlib.import_module(f"satavit.{module}"), attr)
     ]
     assert missing == []
+
+
+def bound_names(node) -> list[str]:
+    """The names a module-level import statement binds."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    traced = traced_names()
+    unused = []
+    for path in sorted((RUN_PY.parents[1] / "src" / "satavit").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported |= set(ast.literal_eval(node.value))
+        wrapped = set(traced.get(path.stem, ()))
+        unused += [
+            f"{path.stem}.{name}"
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in bound_names(node)
+            if name not in used | exported | wrapped
+        ]
+    assert unused == []
