@@ -9,18 +9,20 @@ A measurement harness tracks corruption stability and FFN FLOPs.
 
 from .engine import forward
 from .harness import (
-    CORRUPTION_KINDS,
-    CorruptionSpec,
     StabilityRecord,
     SweepRecord,
     averaged_stability_report,
-    corrupt,
-    load_image,
-    random_image,
     selftest,
     stability_report,
     stats_report,
     sweep,
+)
+from .images import (
+    CORRUPTION_KINDS,
+    CorruptionSpec,
+    corrupt,
+    load_image,
+    random_image,
     write_raw_image,
 )
 from .modelio import (

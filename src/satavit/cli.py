@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import harness, modelio
+from . import harness, images, modelio
 from .engine import forward
 from .sata import ffn_flops
 from .vit import ModelConfig
@@ -75,7 +75,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--corruption",
         default=None,
-        choices=harness.CORRUPTION_KINDS + ("none",),
+        choices=images.CORRUPTION_KINDS + ("none",),
         help="default gaussian_noise; 'none' compares the clean image with itself",
     )
     p.add_argument("--severity", type=int, default=None, choices=range(1, 6),
@@ -126,8 +126,8 @@ def _load_images(args, cfg: ModelConfig, at_most_one: bool = False) -> list[np.n
     if args.image:
         if at_most_one and len(args.image) > 1:
             raise UsageError(f"{args.command} takes a single --image")
-        return [harness.load_image(p, cfg) for p in args.image]
-    return [harness.random_image(cfg, args.seed)]
+        return [images.load_image(p, cfg) for p in args.image]
+    return [images.random_image(cfg, args.seed)]
 
 
 def _emit(out, header, rows) -> None:
@@ -184,7 +184,7 @@ def _cmd_stability(args) -> int:
     elif args.corruption == "none":
         records = harness.stability_report(model, image, spec=None, cfg=cfg)
     else:
-        spec = harness.CorruptionSpec(
+        spec = images.CorruptionSpec(
             kind=args.corruption or "gaussian_noise",
             severity=3 if args.severity is None else args.severity,
             seed=args.seed,

@@ -18,6 +18,15 @@ they need the split, and no trace keeps a score.  With it every block
 scores and bands, and every trace keeps the stage's
 :class:`~satavit.moran.SpatialScores`, band bounds and class-token
 attention row.  The logits are the same either way.
+
+Weights come from outside the program, so a forward checks that each
+stream is finite once, where it leaves a part of the model: the
+embedding, each block's attention and FFN, the final LayerNorm and the
+logits.  The kernels in between let a non-finite value pass through, so
+a failure raises ``FloatingPointError`` naming the part whose output it
+first reached: ``embed: ``, ``block {i}: attention``, ``block {i}: ffn``
+or ``head: ``.  A finite stream whose LayerNorm variance overflows
+raises from ``layer_norm`` itself, prefixed with its block or the head.
 """
 
 from __future__ import annotations
@@ -35,9 +44,20 @@ from .vit import ModelConfig, ffn, mhsa, patch_embed
 __all__ = ["forward", "embed", "run_blocks", "classify"]
 
 
+def _finite(x: np.ndarray, part: str) -> np.ndarray:
+    """``x``, if every entry is finite; else a ``FloatingPointError`` naming ``part``."""
+    if not np.isfinite(x).all():
+        raise FloatingPointError(f"{part} produced non-finite entries")
+    return x
+
+
 def embed(image, model: Model) -> np.ndarray:
-    """Token stream entering block 0, in the geometry of ``model.config``."""
-    return patch_embed(image, embed_view(model), model.config)
+    """Token stream entering block 0, in the geometry of ``model.config``.
+
+    A non-finite stream (say a NaN in ``pos_embed``) raises
+    ``FloatingPointError`` prefixed with ``embed: ``.
+    """
+    return _finite(patch_embed(image, embed_view(model), model.config), "embed: patch embedding")
 
 
 def run_blocks(
@@ -56,8 +76,10 @@ def run_blocks(
     must match ``model.config`` in every architecture field.  The stream
     is never modified in place, so a caller may keep it and resume from
     it.  The blocks run on ``parallel.lanes(cfg)``, decided once per
-    call.  A non-finite intermediate raises ``FloatingPointError``
-    prefixed with ``block {i}: ``.
+    call.  Each block checks its attention output and its own output
+    once; a non-finite one raises ``FloatingPointError`` prefixed with
+    ``block {i}: attention`` or ``block {i}: ffn``, and an overflowing
+    LayerNorm variance with ``block {i}: layer_norm``.
 
     A caller that needs each block's streams steps the blocks one call
     at a time: ``run_blocks(x, model, cfg, i, i + 1)`` gives the stream
@@ -76,7 +98,9 @@ def run_blocks(
     for i in range(first, stop):
         try:
             attn = mhsa(x, attn_view(model, i), cfg.heads, lanes)
+            _finite(attn.features, "attention")
             x_next, trace = sata_stage(attn, cfg, ffn_view(model, i), i, lanes, trace_scores)
+            _finite(x_next, "ffn")
         except FloatingPointError as exc:
             raise FloatingPointError(f"block {i}: {exc}") from exc
         traces.append(trace)
@@ -87,18 +111,18 @@ def run_blocks(
 def classify(x: np.ndarray, model: Model) -> np.ndarray:
     """Logits from the final stream: final LayerNorm, then the class-token head.
 
-    A non-finite final LayerNorm or logit (say a NaN in ``head.weight``)
-    raises ``FloatingPointError`` prefixed with ``head: ``.
+    A non-finite final LayerNorm output or logit (say a NaN in
+    ``head.weight``) raises ``FloatingPointError`` prefixed with
+    ``head: ``.  The LayerNorm check covers every row, not only the
+    class token's: a huge ``final_norm.gain`` can overflow the other
+    rows alone.
     """
     head = head_view(model)
     try:
-        final = layer_norm(x, head.ln_gain, head.ln_bias)
+        final = _finite(layer_norm(x, head.ln_gain, head.ln_bias), "layer_norm")
+        return _finite(final[0] @ head.weight + head.bias, "classifier")
     except FloatingPointError as exc:
         raise FloatingPointError(f"head: {exc}") from exc
-    logits = final[0] @ head.weight + head.bias
-    if not np.isfinite(logits).all():
-        raise FloatingPointError("head: logits are non-finite")
-    return logits
 
 
 def forward(

@@ -2,11 +2,14 @@
 
 Matrices are plain 2-D C-contiguous float64 ndarrays.  Every public
 operation validates shapes against its contract; the heavy lifting is
-delegated to numpy/scipy.  The kernels ``row_softmax``, ``layer_norm``
-and ``gelu`` guarantee a finite result and raise ``FloatingPointError``
-otherwise.  ``as_matrix`` and ``cosine_similarity`` do not check
-finiteness: a non-finite input passes through, and
-``cosine_similarity([nan, 1], [1, 1])`` returns ``nan``.
+delegated to numpy/scipy.  No kernel checks that its result is
+finite: a non-finite value passes through (``gelu`` of ``inf`` is
+``inf``, ``cosine_similarity([nan, 1], [1, 1])`` is ``nan``).  The one
+guard is ``layer_norm``'s: it raises ``FloatingPointError`` when a
+row's variance is non-finite, because an overflowing row would
+otherwise come out finite and wrong.  :mod:`satavit.engine` checks each
+stream once where it leaves a part of the model, so that a message
+names the part that failed.
 
 Kernel contract: every kernel returns a fresh array, never writes into
 its arguments, and is bitwise equal to its textbook formula.  Only
@@ -38,12 +41,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def _check_finite(m: np.ndarray, op: str) -> np.ndarray:
-    if not np.isfinite(m).all():
-        raise FloatingPointError(f"{op} produced non-finite entries")
-    return m
-
-
 def row_softmax(a) -> np.ndarray:
     """Softmax over each row, stabilized by max subtraction."""
     a = as_matrix(a)
@@ -52,7 +49,7 @@ def row_softmax(a) -> np.ndarray:
     e = a - a.max(axis=1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
-    return _check_finite(e, "row_softmax")
+    return e
 
 
 def layer_norm(x, gain, bias) -> np.ndarray:
@@ -72,11 +69,12 @@ def layer_norm(x, gain, bias) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         dev = x - x.sum(axis=1, keepdims=True) / x.shape[1]  # x.mean's bits
         var = (dev * dev).sum(axis=1, keepdims=True) / x.shape[1]
-    _check_finite(var, "layer_norm")
+    if not np.isfinite(var).all():
+        raise FloatingPointError("layer_norm produced non-finite entries")
     dev /= np.sqrt(var + 1e-6)
     dev *= gain
     dev += bias
-    return _check_finite(dev, "layer_norm")
+    return dev
 
 
 def gelu(x) -> np.ndarray:
@@ -89,7 +87,7 @@ def gelu(x) -> np.ndarray:
     y += 1.0
     y *= x
     y *= 0.5
-    return _check_finite(y, "gelu")
+    return y
 
 
 def cosine_similarity(u, v) -> float:

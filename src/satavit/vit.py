@@ -282,7 +282,10 @@ def mhsa(x, w: AttnWeights, heads: int, lanes: Lanes = SERIAL) -> AttentionOutpu
     pattern, 2-vCPU host).  ``lanes`` splits the work from the Q/K/V
     projections to the attended values by head groups (each group
     projects its own columns); the result is bitwise the same for every
-    lane count.
+    lane count.  A non-finite weight passes through to ``features``,
+    and only ``layer_norm`` raises, on an input row whose variance is
+    non-finite; the caller checks the result, as
+    :func:`satavit.engine.run_blocks` does.
     """
     x = as_matrix(x)
     n, d = x.shape
@@ -329,7 +332,10 @@ def ffn(x, w: FfnWeights, lanes: Lanes = SERIAL) -> np.ndarray:
     Returns only the delta; the caller owns the residual add.  An empty
     token tensor maps to an empty delta.  ``lanes`` splits the whole
     chain by token rows; the result is bitwise the same for every lane
-    count.
+    count.  A non-finite weight passes through to the delta, and
+    only ``layer_norm`` raises, on an input row whose variance is
+    non-finite; the caller checks the result, as
+    :func:`satavit.engine.run_blocks` does.
     """
     x = as_matrix(x)
     n, d = x.shape

@@ -491,5 +491,5 @@ class TestParallelReports:
         monkeypatch.setattr(parallel, "workers", lambda *args: 2)
         code, _, err = main_in_process(capsys, "forward", "--model", pool_model_path)
         assert code == 2
-        assert "gelu produced non-finite entries" in err
+        assert "error: block 0: ffn produced non-finite entries" in err
         assert "Traceback" not in err

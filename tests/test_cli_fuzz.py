@@ -261,18 +261,35 @@ def test_weight_values_past_the_checksum(root, model, fmt, slots):
             assert run_main(*command, "--model", corrupt) in (0, 2), command
 
 
-@pytest.mark.parametrize("block", range(MODEL_CONFIG.depth))
+def part_of(tensor: str) -> str:
+    """The message prefix of the model part whose output a bad ``tensor`` first reaches."""
+    if tensor.startswith("block"):
+        block, layer = tensor.split(".")[:2]
+        return f"block {block[5:]}: " + ("attention" if layer in ("ln1", "attn") else "ffn")
+    return "head: " if tensor.startswith(("final_norm.", "head.")) else "embed: "
+
+
+@pytest.mark.parametrize("block", [*range(MODEL_CONFIG.depth), "embed", "head"])
 def test_nan_weight_names_its_block(root, model, capsys, block):
+    """A NaN in the first entry of each tensor of a block, of the embedding
+    or of the head makes ``forward`` exit 2 naming that part."""
     stem, manifest = model
-    blob = bytearray(stem.with_name("model.weights.bin").read_bytes())
-    entry = next(e for e in manifest["tensors"] if e["name"] == f"block{block}.ffn.w1")
-    blob[entry["offset"]:entry["offset"] + 8] = np.array([math.nan], "<f8").tobytes()
+    clean = stem.with_name("model.weights.bin").read_bytes()
+    prefix = f"block {block}: " if isinstance(block, int) else f"{block}: "
+    entries = [e for e in manifest["tensors"] if part_of(e["name"]).startswith(prefix)]
+    assert entries
     corrupt = stem.with_name("nan")
-    write_weights(corrupt, manifest, bytes(blob))
-    assert cli.main(["forward", "--model", str(corrupt)]) == 2
-    err = capsys.readouterr().err
-    assert f"block {block}: gelu produced non-finite entries" in err
-    assert "Traceback" not in err
+    misnamed = {}
+    for entry in entries:
+        blob = bytearray(clean)
+        blob[entry["offset"]:entry["offset"] + 8] = np.array([math.nan], "<f8").tobytes()
+        write_weights(corrupt, manifest, bytes(blob))
+        code = cli.main(["forward", "--model", str(corrupt)])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err, (entry["name"], err)
+        if f"error: {part_of(entry['name'])}" not in err or "non-finite" not in err:
+            misnamed[entry["name"]] = err
+    assert misnamed == {}
 
 
 @pytest.mark.parametrize("name,index", [("head.weight", 0), ("head.bias", 3),

@@ -7,22 +7,24 @@ import pytest
 from satavit import ModelConfig, engine, harness, parallel, random_init, sata
 from satavit.engine import forward
 from satavit.harness import (
-    CORRUPTION_KINDS,
     SELFTEST_HEADER,
     STABILITY_HEADER,
     STATS_HEADER,
     SWEEP_HEADER,
-    CorruptionSpec,
     averaged_stability_report,
-    corrupt,
-    load_image,
-    random_image,
     render_csv,
     selftest,
     stability_report,
     stats_report,
     sweep,
     write_csv,
+)
+from satavit.images import (
+    CORRUPTION_KINDS,
+    CorruptionSpec,
+    corrupt,
+    load_image,
+    random_image,
     write_raw_image,
 )
 from satavit.rng import SplitMix64

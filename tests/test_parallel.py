@@ -22,11 +22,11 @@ from satavit.harness import (
     STATS_HEADER,
     SWEEP_HEADER,
     averaged_stability_report,
-    random_image,
     render_csv,
     stats_report,
     sweep,
 )
+from satavit.images import random_image
 from satavit.modelio import attn_view, ffn_view
 from satavit.parallel import SERIAL, Lanes
 from satavit.sata import ffn_flops
@@ -307,17 +307,17 @@ class TestNoNesting:
 
 
 def fail_in_the_second_ffn_lane(monkeypatch):
-    """Make ``gelu`` see an infinity in the second FFN lane's rows of a
-    full POOL_CFG block; returns the first row of every failing call."""
+    """Make ``gelu`` raise ``FloatingPointError`` on the second FFN lane's
+    rows of a full POOL_CFG block; returns the first row of every failing
+    call."""
     first, second = Lanes(2).rows(POOL_CFG.num_tokens, POOL_CFG.dim, POOL_CFG.hidden)
     failed = []
     original = vit.gelu
 
     def gelu(x):
         if x.shape[0] == second.stop - second.start != first.stop - first.start:
-            x = x.copy()
-            x[0, 0] = np.inf
             failed.append(second.start)
+            raise FloatingPointError("gelu failed in the second lane")
         return original(x)
 
     monkeypatch.setattr(vit, "gelu", gelu)
@@ -328,7 +328,7 @@ class TestLaneErrors:
     def test_second_lane_error_reaches_the_caller(self, pool_model, monkeypatch):
         force_workers(monkeypatch, 2)
         failed = fail_in_the_second_ffn_lane(monkeypatch)
-        with pytest.raises(FloatingPointError, match="gelu produced non-finite"):
+        with pytest.raises(FloatingPointError, match=r"^block 0: gelu failed in the second lane$"):
             forward(random_image(POOL_CFG, 1), pool_model, POOL_CFG)
         assert failed
 

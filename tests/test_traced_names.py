@@ -1,10 +1,13 @@
-"""The benchmark's traced run wraps library globals by name; keep them resolvable."""
+"""Library names looked up from outside a module resolve: the globals the
+benchmark's traced run wraps, and every ``__all__``; and no module
+imports a name it never uses."""
 
 import ast
 import importlib
 from pathlib import Path
 
 RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+SRC = RUN_PY.parents[1] / "src" / "satavit"
 
 
 def traced_names() -> dict:
@@ -33,6 +36,16 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
+def test_every_exported_name_resolves():
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "satavit" if path.stem == "__init__" else f"satavit.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{attr}" for attr in getattr(module, "__all__", ())
+                    if not hasattr(module, attr)]
+    assert missing == []
+
+
 def bound_names(node) -> list[str]:
     """The names a module-level import statement binds."""
     if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -43,7 +56,7 @@ def bound_names(node) -> list[str]:
 def test_no_module_imports_a_name_it_never_uses():
     traced = traced_names()
     unused = []
-    for path in sorted((RUN_PY.parents[1] / "src" / "satavit").glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         exported = set()
