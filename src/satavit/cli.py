@@ -250,7 +250,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:
-        return _COMMANDS[args.command](args)
+        with np.errstate(all="ignore"):  # the engine's checks name every non-finite stream
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         sys.stderr.write(f"satavit {args.command}: error: {exc}\n")
         return 1

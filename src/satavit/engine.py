@@ -143,8 +143,5 @@ def forward(
     """
     if cfg is None:
         cfg = model.config
-    # the embedding goes straight into run_blocks so that no local here
-    # keeps it alive through the block loop; holding it changes the
-    # allocation pattern and made a ViT-Ti forward about 8% slower
     x, traces = run_blocks(embed(image, model), model, cfg, 0, cfg.depth, trace_scores)
     return classify(x, model), traces

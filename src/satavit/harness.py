@@ -327,7 +327,7 @@ def _naive_spatial_scores(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.
 def _random_attention(gen: SplitMix64, heads: int, features: np.ndarray) -> AttentionOutput:
     n = features.shape[0]
     maps = np.stack([row_softmax(gen.normal(n * n).reshape(n, n)) for _ in range(heads)])
-    return AttentionOutput(features=features, mean_attention=maps.mean(axis=0), per_head=maps)
+    return AttentionOutput(features=features, mean_attention=maps.mean(axis=0))
 
 
 def _random_ffn_weights(gen: SplitMix64, d: int, hidden: int) -> FfnWeights:

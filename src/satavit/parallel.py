@@ -27,6 +27,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = ["workers", "run", "Lanes", "SERIAL", "lanes"]
 
 # 2-thread/serial time, averaged report, 2 CPUs: 1.28x at 9.6M (d96), 0.84-1.15x at 17M (d128)
@@ -97,11 +99,11 @@ def run(fn, items, count: int) -> list:
     Each worker takes the next item index from one shared counter and
     stores its result by index, so results keep the order of ``items``
     and callers reduce them in the serial order.  While a thread runs
-    an item, every ``run`` and ``lanes`` inside it is serial.  Once the
-    caller runs out of items it cancels every helper not yet started, so
-    a slow-to-wake pool costs about the serial time.  After a failure no
-    item is taken; when every taken item has finished, the failure with
-    the lowest index raises.
+    an item, every ``run`` and ``lanes`` inside it is serial, under the
+    caller's numpy error state.  Once the caller runs out of items it
+    cancels every helper not yet started, so a slow-to-wake pool costs
+    about the serial time.  After a failure no item is taken; when every
+    taken item has finished, the failure with the lowest index raises.
     """
     items = list(items)
     helpers = min(count, len(items)) - 1
@@ -109,15 +111,17 @@ def run(fn, items, count: int) -> list:
         return [fn(item) for item in items]
     results, failures = [None] * len(items), {}
     taken = itertools.count()  # one C call per next(), atomic under the GIL
+    state = np.geterr()  # per thread: a pool thread starts from numpy's default
 
     def work():
         _in_item.active = True
         try:
-            while not failures and (i := next(taken)) < len(items):
-                try:
-                    results[i] = fn(items[i])
-                except BaseException as exc:
-                    failures[i] = exc
+            with np.errstate(**state):
+                while not failures and (i := next(taken)) < len(items):
+                    try:
+                        results[i] = fn(items[i])
+                    except BaseException as exc:
+                        failures[i] = exc
         finally:
             _in_item.active = False
 

@@ -228,11 +228,10 @@ class HeadWeights:
 
 @dataclass(frozen=True)
 class AttentionOutput:
-    """Attention result: residual-added features plus the probability maps."""
+    """Attention result: residual-added features plus the head-averaged map."""
 
     features: np.ndarray  # (num_tokens, dim), x + projected attention
     mean_attention: np.ndarray  # (num_tokens, num_tokens), head average
-    per_head: np.ndarray  # (heads, num_tokens, num_tokens)
 
 
 def patch_embed(image, w: EmbedWeights, cfg: ModelConfig) -> np.ndarray:
@@ -275,17 +274,14 @@ def patch_embed(image, w: EmbedWeights, cfg: ModelConfig) -> np.ndarray:
 def mhsa(x, w: AttnWeights, heads: int, lanes: Lanes = SERIAL) -> AttentionOutput:
     """Pre-norm multi-head self-attention with residual add.
 
-    Per-head logits are scaled by 1/sqrt(dim/heads); the returned
-    ``mean_attention`` is the head average of the post-softmax maps, and
-    ``per_head`` keeps the individual maps: nothing reads them, but
-    freeing them here made ViT-Ti forwards 10-18% slower (allocation
-    pattern, 2-vCPU host).  ``lanes`` splits the work from the Q/K/V
-    projections to the attended values by head groups (each group
-    projects its own columns); the result is bitwise the same for every
-    lane count.  A non-finite weight passes through to ``features``,
-    and only ``layer_norm`` raises, on an input row whose variance is
-    non-finite; the caller checks the result, as
-    :func:`satavit.engine.run_blocks` does.
+    Per-head logits are scaled by 1/sqrt(dim/heads); ``mean_attention``
+    is the head average of the post-softmax maps, which are not kept.
+    ``lanes`` splits the work from the Q/K/V projections to the attended
+    values by head groups (each group projects its own columns); the
+    result is bitwise the same for every lane count.  A non-finite
+    weight passes through to ``features``, and only ``layer_norm``
+    raises, on an input row whose variance is non-finite; the caller
+    checks the result, as :func:`satavit.engine.run_blocks` does.
     """
     x = as_matrix(x)
     n, d = x.shape
@@ -323,7 +319,7 @@ def mhsa(x, w: AttnWeights, heads: int, lanes: Lanes = SERIAL) -> AttentionOutpu
     # ndarray.mean's add.reduce and in-place divide, bitwise, without its wrapper
     mean_attention = maps.sum(axis=0)
     mean_attention /= heads
-    return AttentionOutput(features=features, mean_attention=mean_attention, per_head=maps)
+    return AttentionOutput(features=features, mean_attention=mean_attention)
 
 
 def ffn(x, w: FfnWeights, lanes: Lanes = SERIAL) -> np.ndarray:

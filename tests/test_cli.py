@@ -408,9 +408,8 @@ class TestImageInput:
         save_model(random_init(cfg, seed=0), tmp_path / "m")
         path = tmp_path / "huge.f64"
         write_raw_image(np.full((cfg.image, cfg.image, cfg.channels), 1e308), path)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, _, err = main_in_process(capsys, "forward", "--model", tmp_path / "m",
-                                           "--image", path)
+        code, _, err = main_in_process(capsys, "forward", "--model", tmp_path / "m",
+                                       "--image", path)
         assert code == 2
         assert "non-finite" in err
         assert "Traceback" not in err
@@ -424,6 +423,15 @@ class TestImageInput:
         assert "layer_norm produced non-finite" in res.stderr
         assert "RuntimeWarning" not in res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_infinite_weight_exits_two_with_one_error_line(self, tmp_path):
+        model = random_init(ModelConfig(), seed=0)
+        model.params["block0.attn.wq"][0] = np.inf  # numpy warns on the way to the check
+        save_model(model, tmp_path / "m")
+        res = run_cli("forward", "--model", tmp_path / "m")
+        assert res.returncode == 2
+        assert res.stderr == ("satavit forward: error: block 0: attention produced "
+                              "non-finite entries\n")
 
 
 # one block's full FFN is 17M FLOPs: reports go on the thread pool at 1 BLAS thread

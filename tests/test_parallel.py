@@ -31,6 +31,8 @@ from satavit.modelio import attn_view, ffn_view
 from satavit.parallel import SERIAL, Lanes
 from satavit.sata import ffn_flops
 
+from test_vit import captured_mhsa
+
 _VIT_224 = dict(depth=12, patch=16, image=224, channels=3, gamma=0.7, alpha=1.0)
 VIT_TI = ModelConfig(dim=192, heads=3, **_VIT_224)
 VIT_S = ModelConfig(dim=384, heads=6, **_VIT_224)
@@ -143,13 +145,15 @@ class TestLaneOracle:
         assert_bitwise_equal(runs[2], serial)
 
     @pytest.mark.parametrize("count", [2, 3, 4])
-    def test_mhsa_writes_every_head(self, vit_ti, count):
+    def test_mhsa_writes_every_head(self, vit_ti, monkeypatch, count):
         x = np.random.default_rng(0).normal(size=(VIT_TI.num_tokens, VIT_TI.dim))
         w = attn_view(vit_ti, 0)
-        want = vit.mhsa(x, w, VIT_TI.heads)
-        got = vit.mhsa(x, w, VIT_TI.heads, Lanes(count))
+        want, want_maps = captured_mhsa(monkeypatch, x, w, VIT_TI.heads)
+        got, got_maps = captured_mhsa(monkeypatch, x, w, VIT_TI.heads, Lanes(count))
         assert len(Lanes(count).heads(VIT_TI.heads, *x.shape)) == min(count, VIT_TI.heads)
-        for name in ("features", "mean_attention", "per_head"):
+        assert want_maps.shape == (VIT_TI.heads, VIT_TI.num_tokens, VIT_TI.num_tokens)
+        assert np.array_equal(got_maps, want_maps)
+        for name in ("features", "mean_attention"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     @pytest.mark.parametrize("rows", [0, 1, 2, 7, 14, 197])
@@ -391,6 +395,18 @@ class TestLaneErrors:
 
         assert parallel.run(item, range(4 * count), count) == list(range(4 * count))
         assert 1 <= peak[0] <= min(count, parallel._cpus())
+
+    def test_items_run_under_the_callers_error_state(self):
+        def item(i):
+            time.sleep(0.002)
+            return threading.get_ident(), np.geterr()
+
+        with np.errstate(over="raise"):
+            want = np.geterr()
+            got = parallel.run(item, range(8), 2)
+        assert want["over"] == "raise"
+        assert all(state == want for _, state in got)
+        assert {ident for ident, _ in got} - {threading.get_ident()}  # a helper took one
 
     def test_run_keeps_part_order(self):
         assert parallel.run(lambda i: i * i, [0, 1, 2, 3, 4], 4) == [0, 1, 4, 9, 16]

@@ -18,11 +18,7 @@ from test_vit import make_ffn_weights, ref_ffn_delta
 
 def make_attention(rng, heads, features):
     maps = random_attention_maps(rng, heads, features.shape[0])
-    return AttentionOutput(
-        features=features,
-        mean_attention=maps.mean(axis=0),
-        per_head=maps,
-    )
+    return AttentionOutput(features=features, mean_attention=maps.mean(axis=0))
 
 
 def naive_stage(x, mean_attention, cfg, fw):
@@ -459,7 +455,7 @@ class TestSataStage:
             [0.5, 0.02, 0.0, 0.0],
         ])
         maps = row_softmax(rng.normal(size=(6, 6)))
-        attn = AttentionOutput(features=x, mean_attention=maps, per_head=maps[None])
+        attn = AttentionOutput(features=x, mean_attention=maps)
         cfg = self._cfg(alpha=1e-3)
         fw = make_ffn_weights(rng, cfg.dim, cfg.hidden)
         out, trace = sata_stage(attn, cfg, fw, 0)
@@ -484,7 +480,7 @@ class TestSataStage:
             [0.5, 0.02, 0.0, 0.0],
         ])
         maps = row_softmax(rng.normal(size=(6, 6)))
-        attn = AttentionOutput(features=x, mean_attention=maps, per_head=maps[None])
+        attn = AttentionOutput(features=x, mean_attention=maps)
         cfg = self._cfg(alpha=1e-3)
         fw = make_ffn_weights(rng, cfg.dim, cfg.hidden)
         out, trace = sata_stage(attn, cfg, fw, 0)

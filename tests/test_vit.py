@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from satavit import ModelConfig, forward, random_image, random_init, sata
+from satavit import ModelConfig, forward, random_image, random_init, sata, vit
 from satavit.engine import classify, embed, run_blocks
 from satavit.modelio import Model, attn_view, embed_view, ffn_view, head_view, tensor_schema
 from satavit.moran import spatial_scores
+from satavit.parallel import SERIAL
 from satavit.sata import ffn_flops, sata_stage, split_tokens
 from satavit.vit import (
     MAX_WEIGHTS,
@@ -138,6 +139,24 @@ def loop_mhsa(x, w: AttnWeights, heads):
         maps[h] = textbook_row_softmax((q[:, sl] @ k[:, sl].T) * scale)
         attended[:, sl] = maps[h] @ v[:, sl]
     return x + (attended @ w.wo + w.bo), maps.mean(axis=0), maps
+
+
+def captured_mhsa(monkeypatch, x, w: AttnWeights, heads, lanes=SERIAL):
+    """``mhsa``'s output and the per-head maps it built: the ordered results
+    of its ``attend`` groups, kept by a wrapper around ``vit.run``."""
+    groups = []
+    real = vit.run
+
+    def capture(fn, items, count):
+        results = real(fn, items, count)
+        if fn.__name__ == "attend":
+            groups.extend(results)
+        return results
+
+    with monkeypatch.context() as m:
+        m.setattr(vit, "run", capture)
+        out = mhsa(x, w, heads, lanes)
+    return out, np.concatenate(groups)
 
 
 def make_ffn_weights(rng, d, hidden):
@@ -301,26 +320,28 @@ class TestMhsa:
         assert np.max(np.abs(out.features - feats)) < 1e-9
         assert np.max(np.abs(out.mean_attention - mean_map)) < 1e-9
 
-    def test_rows_stochastic(self):
+    def test_rows_stochastic(self, monkeypatch):
         rng = np.random.default_rng(4)
-        out = mhsa(rng.normal(size=(7, 8)) * 3, self._rand_weights(rng, 8), heads=4)
+        out, maps = captured_mhsa(monkeypatch, rng.normal(size=(7, 8)) * 3,
+                                  self._rand_weights(rng, 8), heads=4)
+        assert maps.shape == (4, 7, 7)
         assert np.max(np.abs(out.mean_attention.sum(axis=1) - 1.0)) < 1e-6
-        assert np.max(np.abs(out.per_head.sum(axis=2) - 1.0)) < 1e-6
+        assert np.max(np.abs(maps.sum(axis=2) - 1.0)) < 1e-6
 
     @pytest.mark.parametrize(
         "n,d,heads",
         [(1, 4, 2), (3, 4, 1), (9, 6, 2), (17, 12, 3), (33, 40, 4), (65, 192, 3), (197, 384, 6)],
     )
-    def test_batched_heads_equal_per_head_loop_bitwise(self, n, d, heads):
+    def test_batched_heads_equal_per_head_loop_bitwise(self, monkeypatch, n, d, heads):
         rng = np.random.default_rng(n * d + heads)
         w = self._rand_weights(rng, d, scale=1.0 / math.sqrt(d))
         x = rng.normal(size=(n, d))
-        out = mhsa(x, w, heads)
-        features, mean_attention, per_head = loop_mhsa(x, w, heads)
+        out, maps = captured_mhsa(monkeypatch, x, w, heads)
+        features, mean_attention, loop_maps = loop_mhsa(x, w, heads)
         assert np.array_equal(out.features, features)
         assert np.array_equal(out.mean_attention, mean_attention)
-        assert np.array_equal(out.mean_attention, out.per_head.mean(axis=0))
-        assert np.array_equal(out.per_head, per_head)
+        assert np.array_equal(out.mean_attention, maps.mean(axis=0))
+        assert np.array_equal(maps, loop_maps)
 
     def test_leaves_arguments_untouched(self):
         rng = np.random.default_rng(8)
@@ -602,3 +623,14 @@ class TestTraceScores:
         assert cfg.depth - cfg.sata_start_block == 2
         assert count(cfg) == 2
         assert count(cfg, trace_scores=True) == cfg.depth
+
+    @pytest.mark.parametrize("run", ["stage-off", "gamma-0.7"])
+    def test_cls_attention_owns_its_memory(self, run):
+        # a view of the (n, n) mean map would keep the whole map alive per trace
+        model, img = self._model("8x32")
+        n = model.config.num_tokens
+        _, traces = forward(img, model, cfg=model.config.with_overrides(**self.RUNS[run]),
+                            trace_scores=True)
+        for trace in traces:
+            assert trace.cls_attention.shape == (n - 1,)
+            assert trace.cls_attention.base is None, trace.block_index
