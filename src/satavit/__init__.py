@@ -7,7 +7,7 @@ matching before the FFN, and restores every token position afterward.
 A measurement harness tracks corruption stability and FFN FLOPs.
 """
 
-from .engine import forward
+from .engine import forward, forward_batch
 from .harness import (
     StabilityRecord,
     SweepRecord,
@@ -78,6 +78,7 @@ __all__ = [
     "ffn",
     "ffn_flops",
     "forward",
+    "forward_batch",
     "gelu",
     "global_attribute",
     "layer_norm",

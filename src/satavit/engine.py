@@ -1,10 +1,15 @@
 """Full forward pass: embedding, blocks, optional token stage, head.
 
-``forward`` is the composition of three steps that callers may also
-run separately: ``embed`` (patch tokens plus class token),
+``forward_batch`` is the composition of three steps that callers may
+also run separately: ``embed`` (patch tokens plus class token),
 ``run_blocks`` (any contiguous block range from a given stream) and
 ``classify`` (final LayerNorm and head).  The harness uses them to
 resume from a cached stream instead of recomputing a shared prefix.
+``run_blocks`` and ``classify`` take one image's stream, (n, d), or a
+stack of them, (B, n, d): each block then runs its attention and any
+pass-through FFN once over the stack, and each image's slice of every
+result is bitwise what the image gives alone.  ``forward`` is the
+stack of one.
 
 Every block goes through :func:`~satavit.sata.sata_stage`, which
 records the block's :class:`~satavit.sata.BlockTrace`, so token counts
@@ -41,12 +46,12 @@ from .sata import BlockTrace, sata_stage
 from .tensorops import layer_norm
 from .vit import ModelConfig, ffn, mhsa, patch_embed
 
-__all__ = ["forward", "embed", "run_blocks", "classify"]
+__all__ = ["forward", "forward_batch", "embed", "run_blocks", "classify"]
 
 
 def _finite(x: np.ndarray, part: str) -> np.ndarray:
     """``x``, if every entry is finite; else a ``FloatingPointError`` naming ``part``."""
-    if not np.isfinite(x).all():
+    if np.count_nonzero(np.isfinite(x)) != x.size:  # .all() without its Python wrapper
         raise FloatingPointError(f"{part} produced non-finite entries")
     return x
 
@@ -72,7 +77,9 @@ def run_blocks(
 
     Returns the stream leaving block ``stop - 1`` (``x`` itself for an
     empty range) and one trace per block run, with scores if
-    ``trace_scores`` (see :class:`~satavit.sata.BlockTrace`).  ``cfg``
+    ``trace_scores`` (see :class:`~satavit.sata.BlockTrace`).  For a
+    stack of streams, (B, n, d), it returns the stack and one such list
+    of traces per image.  ``cfg``
     must match ``model.config`` in every architecture field.  The stream
     is never modified in place, so a caller may keep it and resume from
     it.  The blocks run on ``parallel.lanes(cfg)``, decided once per
@@ -94,7 +101,7 @@ def run_blocks(
     if not 0 <= first <= stop <= cfg.depth:
         raise ValueError(f"block range [{first}, {stop}) outside depth {cfg.depth}")
     lanes = parallel.lanes(cfg)
-    traces: list[BlockTrace] = []
+    traces = []
     for i in range(first, stop):
         try:
             attn = mhsa(x, attn_view(model, i), cfg.heads, lanes)
@@ -105,12 +112,15 @@ def run_blocks(
             raise FloatingPointError(f"block {i}: {exc}") from exc
         traces.append(trace)
         x = x_next
+    if np.ndim(x) == 3:  # per block, one trace per image -> per image, one per block
+        traces = [[block[b] for block in traces] for b in range(len(x))]
     return x, traces
 
 
 def classify(x: np.ndarray, model: Model) -> np.ndarray:
     """Logits from the final stream: final LayerNorm, then the class-token head.
 
+    A stack of streams, (B, n, d), gives one row of logits per image.
     A non-finite final LayerNorm output or logit (say a NaN in
     ``head.weight``) raises ``FloatingPointError`` prefixed with
     ``head: ``.  The LayerNorm check covers every row, not only the
@@ -120,9 +130,42 @@ def classify(x: np.ndarray, model: Model) -> np.ndarray:
     head = head_view(model)
     try:
         final = _finite(layer_norm(x, head.ln_gain, head.ln_bias), "layer_norm")
-        return _finite(final[0] @ head.weight + head.bias, "classifier")
+        # the class rows as (..., 1, d): a stack of vector-matrix products,
+        # each bitwise the one image's; a (B, d) GEMM rounds differently
+        logits = (final[..., :1, :] @ head.weight)[..., 0, :]
+        logits += head.bias
+        return _finite(logits, "classifier")
     except FloatingPointError as exc:
         raise FloatingPointError(f"head: {exc}") from exc
+
+
+def forward_batch(
+    images,
+    model: Model,
+    cfg: ModelConfig | None = None,
+    trace_scores: bool = False,
+) -> list[tuple[np.ndarray, list[BlockTrace]]]:
+    """Run all blocks and the classifier head on a stack of images.
+
+    Returns one ``(logits, traces)`` per image, bitwise what
+    :func:`forward` gives for that image alone.  ``cfg`` overrides the
+    model's stored config for run-time settings (alpha, gamma, stage
+    on/off); architecture fields must match the weights.  With
+    ``trace_scores`` each trace also keeps the block's scores, band
+    bounds and class-token attention row; without it, the default,
+    those fields are ``None`` and blocks where the stage does not merge
+    skip scoring.  The traces keep no token streams; :func:`run_blocks`
+    over one block at a time gives them.  A non-finite stream raises as
+    in :func:`run_blocks`, from the first block where any image's does.
+    """
+    if cfg is None:
+        cfg = model.config
+    images = list(images)
+    if not images:
+        raise ValueError("forward_batch needs at least one image")
+    x = np.stack([embed(image, model) for image in images])
+    x, traces = run_blocks(x, model, cfg, 0, cfg.depth, trace_scores)
+    return list(zip(classify(x, model), traces))
 
 
 def forward(
@@ -131,17 +174,5 @@ def forward(
     cfg: ModelConfig | None = None,
     trace_scores: bool = False,
 ) -> tuple[np.ndarray, list[BlockTrace]]:
-    """Run all blocks and the classifier head on one image.
-
-    ``cfg`` overrides the model's stored config for run-time settings
-    (alpha, gamma, stage on/off); architecture fields must match the
-    weights.  With ``trace_scores`` each trace also keeps the block's
-    scores, band bounds and class-token attention row; without it, the
-    default, those fields are ``None`` and blocks where the stage does
-    not merge skip scoring.  The traces keep no token streams;
-    :func:`run_blocks` over one block at a time gives them.
-    """
-    if cfg is None:
-        cfg = model.config
-    x, traces = run_blocks(embed(image, model), model, cfg, 0, cfg.depth, trace_scores)
-    return classify(x, model), traces
+    """:func:`forward_batch` of the one image: its logits and block traces."""
+    return forward_batch([image], model, cfg, trace_scores)[0]

@@ -9,10 +9,13 @@ reporting FLOPs against logit drift.
 Reports return records or rows and write nothing; ``write_csv`` and
 ``render_csv`` turn rows into CSV, deterministic given seeds: UTF-8,
 LF line endings, floats formatted with %.9g, integers bare.  A
-report's forwards are independent; ``parallel.run`` runs them on the
-calling thread and a thread pool where that pays (see
-``parallel.workers``) and returns them in order, so every reduction
-sums in the serial order and the CSVs do not depend on the pool.
+report's forwards are independent.  ``parallel.stacks`` splits its
+images into stacks, one ``engine.forward_batch`` each (one image per
+stack on a model large enough for the thread pool, many below that),
+and ``parallel.run`` runs the stacks on the calling thread and the pool
+where that pays (see ``parallel.workers``) and returns them in order,
+so every reduction sums in the serial order and the CSVs depend on
+neither.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .engine import classify, embed, forward, run_blocks
+# forward is unused here; perfbench/run.py traces it as a harness global
+from .engine import classify, embed, forward, forward_batch, run_blocks
 from .images import CORRUPTION_KINDS, CorruptionSpec, corrupt, random_image
 from .modelio import Model, random_init
 from .moran import SpatialScores, spatial_scores
@@ -94,10 +98,21 @@ class StabilityRecord:
     delta_sata: float
 
 
-def _block_traces(model: Model, image, spec: CorruptionSpec | None, cfg):
-    """Block traces with scores of one forward on ``image``, corrupted by ``spec`` unless None."""
-    x = image if spec is None else corrupt(image, spec)
-    return forward(x, model, cfg=cfg, trace_scores=True)[1]
+def _stacked(fn, groups, cfg: ModelConfig) -> list:
+    """``fn`` over every item of ``groups``, one call per stack of items;
+    one result per item, in order.
+
+    ``fn`` maps a list of items to a list of one result each.  Each group
+    is split by ``parallel.stacks``, so a stack never spans two groups,
+    and all the stacks go to one ``parallel.run``.
+    """
+    stacks = [group[s] for group in groups for s in parallel.stacks(cfg, len(group))]
+    return [r for out in parallel.run(fn, stacks, parallel.workers(cfg)) for r in out]
+
+
+def _scored_traces(model: Model, images, cfg: ModelConfig) -> list:
+    """Block traces with scores of one forward per image of a stack."""
+    return [traces for _, traces in forward_batch(images, model, cfg, trace_scores=True)]
 
 
 def _stability(model: Model, image, specs, cfg: ModelConfig) -> list[StabilityRecord]:
@@ -108,9 +123,11 @@ def _stability(model: Model, image, specs, cfg: ModelConfig) -> list[StabilityRe
     its cosines bit for bit (a -0.0 keeps its sign).  Without specs the
     clean traces are compared with themselves.
     """
-    clean, *corrupted = parallel.run(
-        lambda sp: _block_traces(model, image, sp, cfg), [None, *specs], parallel.workers(cfg)
-    )
+    def corrupted_traces(stack):
+        images = [image if sp is None else corrupt(image, sp) for sp in stack]
+        return _scored_traces(model, images, cfg)
+
+    clean, *corrupted = _stacked(corrupted_traces, [[None, *specs]], cfg)
     deltas = [
         np.array([
             (cosine_similarity(c.cls_attention, x.cls_attention),
@@ -184,10 +201,7 @@ def stats_report(model: Model, images, cfg: ModelConfig | None = None) -> list[l
     depth = run_cfg.depth
     sums = np.zeros((depth, len(_STATS_COLUMNS)))
     hists = np.zeros((depth, HIST_BINS), dtype=np.int64)
-    per_image = parallel.run(
-        lambda image: _block_traces(model, image, None, run_cfg), images,
-        parallel.workers(run_cfg),
-    )
+    per_image = _stacked(lambda stack: _scored_traces(model, stack, run_cfg), [images], run_cfg)
     for traces in per_image:  # summed in image order
         sums += [
             [tr.scores.mean_s, tr.scores.abs_median_s, *tr.bounds, tr.n_a, tr.n_b,
@@ -215,22 +229,26 @@ class SweepRecord:
     logit_drift: float
 
 
-def _stage_off_segments(model: Model, image, cfg: ModelConfig, starts):
-    """Stage-off forward of one image, split at each block index in ``starts``.
+def _stage_off_segments(model: Model, images, cfg: ModelConfig, starts) -> list:
+    """Stage-off forwards of a stack of images, split at each block index in ``starts``.
 
-    ``starts`` must be ascending.  Returns the logits, one trace per
-    block and the stream entering each block in ``starts``.
+    ``starts`` must be ascending.  Returns per image its logits, one
+    trace per block and the stream entering each block in ``starts``.
     """
-    x = embed(image, model)
-    traces = []
+    x = np.stack([embed(image, model) for image in images])
+    traces = [[] for _ in images]
     streams = {}
     done = 0
     for stop in (*starts, cfg.depth):
         x, segment = run_blocks(x, model, cfg, done, stop)
-        traces += segment
+        for acc, part in zip(traces, segment):
+            acc += part
         streams[stop] = x
         done = stop
-    return classify(x, model), traces, streams
+    return [
+        (logits, trace, {stop: stack[b] for stop, stack in streams.items()})
+        for b, (logits, trace) in enumerate(zip(classify(x, model), traces))
+    ]
 
 
 def sweep(
@@ -251,7 +269,9 @@ def sweep(
     path, so they are identical to the baseline's.  The baseline runs
     once per image, keeping its stream at every distinct start block;
     each value then runs only its blocks from ``start`` on and reuses
-    the baseline's FFN FLOPs for the blocks before.
+    the baseline's FFN FLOPs for the blocks before.  The baselines run
+    in stacks of images first, then the values' tails, each stack
+    holding images of one value.
     """
     if param not in ("alpha", "gamma"):
         raise ValueError(f"sweep param must be 'alpha' or 'gamma', got {param!r}")
@@ -265,21 +285,24 @@ def sweep(
         for value in values
     ]
     starts = sorted({c.sata_start_block for c in run_cfgs})
-    count = parallel.workers(base_cfg)
-    baselines = parallel.run(
-        lambda img: _stage_off_segments(model, img, baseline_cfg, starts), images, count
+    baselines = _stacked(
+        lambda stack: _stage_off_segments(model, stack, baseline_cfg, starts), [images], base_cfg
     )
 
-    def run_tail(job):
-        """FFN FLOPs and logit drift of one (value, image)."""
-        run_cfg, (base_logits, base_traces, streams) = job
+    def run_tails(jobs):
+        """FFN FLOPs and logit drift of each (value, image) of a stack of one value."""
+        run_cfg = jobs[0][0]
         start = run_cfg.sata_start_block
-        x, tail = run_blocks(streams[start], model, run_cfg, start, run_cfg.depth)
-        logits = classify(x, model)
-        flops = sum(tr.ffn_flops for tr in base_traces[:start] + tail)
-        return flops, float(np.linalg.norm(logits - base_logits))
+        x = np.stack([streams[start] for _, (_, _, streams) in jobs])
+        x, tails = run_blocks(x, model, run_cfg, start, run_cfg.depth)
+        return [
+            (sum(tr.ffn_flops for tr in base_traces[:start] + tail),
+             float(np.linalg.norm(logits - base_logits)))
+            for (_, (base_logits, base_traces, _)), tail, logits
+            in zip(jobs, tails, classify(x, model))
+        ]
 
-    tails = parallel.run(run_tail, [(c, b) for c in run_cfgs for b in baselines], count)
+    tails = _stacked(run_tails, [[(c, b) for b in baselines] for c in run_cfgs], base_cfg)
     n = len(images)
     records = []
     for k, run_cfg in enumerate(run_cfgs):

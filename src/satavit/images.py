@@ -80,7 +80,7 @@ def corrupt(image, spec: CorruptionSpec) -> np.ndarray:
     elif spec.kind == "impulse_noise":
         k = int(round(0.01 * sev * work.size))
         out = work.reshape(-1).copy()
-        hit = gen.permutation(work.size)[:k]
+        hit = gen.permutation_prefix(work.size, k)
         values = (gen.next_uint64(k) & np.uint64(1)).astype(np.float64)
         out[hit] = values
         out = out.reshape(work.shape)

@@ -43,12 +43,22 @@ class SpatialScores:
 
     @classmethod
     def from_values(cls, s) -> "SpatialScores":
-        """Build from an explicit score vector, deriving the summaries."""
+        """Build from an explicit score vector, deriving the summaries.
+
+        ``abs_median_s`` is the middle of the sorted scores (the mean of
+        the two middles for an even count): bitwise ``abs(np.median(s))``
+        for any scores without NaN, whose place in the order is the one
+        way a sort differs from ``np.median``.  The engine's finiteness
+        checks guarantee finite scores.
+        """
         s = np.asarray(s, dtype=np.float64).ravel()
         if s.size == 0:
             raise ValueError("SpatialScores needs at least one score")
+        mid = s.size // 2
+        ordered = np.sort(s)
+        median = ordered[mid] if s.size % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
         # sum / n is ndarray.mean's add.reduce and divide, bitwise, without its wrapper
-        return cls(s=s, mean_s=float(s.sum() / s.size), abs_median_s=abs(float(np.median(s))))
+        return cls(s=s, mean_s=float(s.sum() / s.size), abs_median_s=abs(float(median)))
 
 
 def global_attribute(x) -> np.ndarray:

@@ -6,8 +6,10 @@ persistent thread pool (started on first use): a harness report's
 independent forwards, and inside one forward each block's two largest
 steps, split into :class:`Lanes` (head groups from the Q/K/V
 projections to the attended values, token rows for the whole FFN).
-:func:`workers` decides how many threads either may use; it reads only
-the environment and the model's shape, so there is no option to set.
+:func:`workers` decides how many threads either may use and
+:func:`stacks` how many images each of a report's forwards takes; both
+read only the environment and the model's shape, so there is no option
+to set.
 
 One rule stops nesting: while a thread runs an item of :func:`run`,
 every ``run`` and :func:`lanes` inside that item is serial.  A report's
@@ -29,10 +31,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["workers", "run", "Lanes", "SERIAL", "lanes"]
+__all__ = ["workers", "run", "stacks", "Lanes", "SERIAL", "lanes"]
 
 # 2-thread/serial time, averaged report, 2 CPUs: 1.28x at 9.6M (d96), 0.84-1.15x at 17M (d128)
 _POOL_MIN_FFN_FLOPS = 10_000_000
+# Time per image of stacked over one-image forwards, 8-block stage-on models (gamma 0.7),
+# 2 CPUs, OpenBLAS at 1 thread, median of 7 interleaved rounds; with scores traced
+# (stability) / without (stats); map entries = B * heads * n * n of the stack:
+#   model         entries per image  stack entries: stacked/one-image
+#   8x32 (n17)    1,156              9k: 0.57        18k: 0.62         37k: 0.58
+#   d32 n65 2h    8,450              67k: 0.80/0.70  135k: 0.70/0.71   202k: 0.80/0.71
+#   d64 n65 4h    16,900             67k: 0.84/0.75  135k: 0.99/0.78   270k: 1.31/0.77
+#   d32 n101 2h   20,402             81k: 0.92/0.84  163k: 0.78/0.81   244k: 0.89/0.82
+#   d32 n145 4h   84,100             168k: 0.99/0.83 336k: 0.95/0.95   504k: 1.16/1.16
+#   d32 n197 4h   155,236            310k: 1.04      620k: 1.00        2.5M: 1.50
+_STACK_MAX_MAP_ENTRIES = 2**17
 # 2-lane/serial median time of 12-block stage-on forwards, 2 CPUs, OpenBLAS at 1 thread,
 # lanes and serial interleaved in one process (40-60 pairs per run, 1-3 runs):
 #   FFN FLOPs  model                         lanes/serial  pairs lanes won
@@ -135,6 +148,27 @@ def run(fn, items, count: int) -> list:
     if failures:
         raise failures[min(failures)]
     return results
+
+
+def stacks(cfg, count: int) -> list[slice]:
+    """How a report splits ``count`` independent images into stacks, each
+    one ``engine.forward_batch``.
+
+    From ``_POOL_MIN_FFN_FLOPS`` up each image is its own stack, so each
+    is one :func:`run` item.  Below it a forward is mostly Python
+    dispatch, which a stack pays once per block for all its images:
+    they go into the fewest stacks whose (B, heads, n, n) attention
+    maps hold at most ``_STACK_MAX_MAP_ENTRIES`` entries, beyond which
+    the maps outgrow the cache and a stack stopped paying; the sizes
+    differ by at most 1.  Lanes start above the pool floor, so they
+    never split a stack.
+    """
+    from .sata import ffn_flops  # sata imports vit, which imports this module
+
+    size = 1
+    if ffn_flops(cfg.num_tokens, cfg.dim, cfg.hidden) < _POOL_MIN_FFN_FLOPS:
+        size = max(1, _STACK_MAX_MAP_ENTRIES // (cfg.heads * cfg.num_tokens**2))
+    return _split(count, -(-count // size)) if count else []
 
 
 def _split(n: int, parts: int) -> list[slice]:

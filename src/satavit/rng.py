@@ -78,6 +78,22 @@ class SplitMix64:
         keys = self.next_uint64(n)
         return np.argsort(keys, kind="stable")
 
+    def permutation_prefix(self, n: int, k: int) -> np.ndarray:
+        """``permutation(n)[:k]`` from the same keys, without sorting all of them.
+
+        The indices of the ``k`` smallest keys, in key order: a partition
+        picks them and a sort orders only those.  Keys for distinct
+        counters are distinct (the state update and the mix are
+        bijections), so no tie can order them differently.
+        """
+        if not 0 <= k <= n:
+            raise ValueError(f"prefix length {k} outside 0..{n}")
+        keys = self.next_uint64(n)
+        if k == 0:
+            return np.empty(0, dtype=np.intp)
+        head = np.argpartition(keys, k - 1)[:k]
+        return head[np.argsort(keys[head], kind="stable")]
+
     def spawn(self, stream: int) -> "SplitMix64":
         """Derive an independent child stream; used for per-item seeding."""
         with np.errstate(over="ignore"):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .moran import SpatialScores, spatial_scores
 from .parallel import SERIAL, Lanes
-from .tensorops import as_matrix
+from .tensorops import as_matrices, as_matrix
 from .vit import AttentionOutput, FfnWeights, ModelConfig, ffn
 
 __all__ = [
@@ -166,10 +166,18 @@ def bipartite_match(set_a, features) -> MergePlan:
     members = tokens[np.lexsort((tokens, keys))]
     group_sizes = np.bincount(choice, minlength=a2.size)[hit] + 1
 
-    # summed in member order from zero, then divided: bitwise equal to
-    # features[group].mean(axis=0) (np.add.reduceat is not)
-    reps = np.zeros((group_sizes.size, features.shape[1]))
-    np.add.at(reps, np.repeat(np.arange(group_sizes.size), group_sizes), features[members])
+    # summed in member order from +0.0, one member rank of every group per
+    # pass, then divided: bitwise equal to features[group].mean(axis=0)
+    # (np.add.reduceat is not).  Largest groups first: the groups with a
+    # member of rank r are then the first longer[r]
+    order = np.argsort(-group_sizes, kind="stable")
+    first = (np.cumsum(group_sizes) - group_sizes)[order]
+    longer = np.cumsum(np.bincount(group_sizes)[::-1])[::-1][1:]
+    sums = np.zeros((group_sizes.size, features.shape[1]))
+    for rank, live in enumerate(longer.tolist()):
+        sums[:live] += features[members[first[:live] + rank]]
+    reps = np.empty_like(sums)
+    reps[order] = sums
     reps /= group_sizes[:, None]
 
     return MergePlan(
@@ -200,19 +208,24 @@ def sata_stage(
     block_index: int,
     lanes: Lanes = SERIAL,
     trace_scores: bool = False,
-) -> tuple[np.ndarray, BlockTrace]:
+) -> tuple[np.ndarray, BlockTrace | list[BlockTrace]]:
     """Score, split, merge, run the reduced FFN, and restore all positions.
 
     The stream is ``attn.features``, the post-attention residual stream
     with the class token in row 0; the class token is exempt from
     splitting and always routed to the FFN.  The output has exactly the
-    input token count, in the original order.
+    input token count, in the original order.  One image's stream,
+    (n, d), gives ``(out, trace)``; a stack of them, (B, n, d) with
+    (B, n, n) maps, gives the output stack and a list of one trace per
+    image, each image's slice and trace bitwise its own.
 
     The stage merges only if ``cfg.sata_enabled`` and ``block_index``
     is at least ``cfg.sata_start_block``.  In any other block the full
-    FFN runs on the stream itself with no gather or restore; the trace
-    reports an empty out-of-band set (``n_a=0``, ``n_b=N-1``, no
-    groups, no residuals, ``ffn_tokens=N``).  The FFN runs on ``lanes``.
+    FFN runs on the stream itself, once over the whole stack, with no
+    gather or restore; the trace reports an empty out-of-band set
+    (``n_a=0``, ``n_b=N-1``, no groups, no residuals, ``ffn_tokens=N``).
+    A merging block's token sets differ per image, so it runs image by
+    image.  The FFN runs on ``lanes``.
 
     With ``trace_scores`` every block is scored and banded and the
     trace carries the scores, bounds and class-token attention row; a
@@ -221,23 +234,51 @@ def sata_stage(
     pass-through block skips scoring and banding altogether.  The
     output is the same either way.
     """
-    x = as_matrix(attn.features)
-    n_all, d = x.shape
+    x = as_matrices(attn.features)
+    single = x.ndim == 2
+    maps = attn.mean_attention[None] if single else attn.mean_attention
+    x = x[None] if single else x
+    n_all = x.shape[1]
     if n_all < 2:
         raise ValueError(f"need at least one patch token besides the class token, got {n_all} rows")
-    if attn.mean_attention.shape != (n_all, n_all):
+    if maps.shape != x.shape[:1] + (n_all, n_all):
         raise ValueError(
             f"attention map shape {attn.mean_attention.shape} does not match {n_all} tokens"
         )
 
     merge = cfg.sata_enabled and block_index >= cfg.sata_start_block
-    if merge or trace_scores:
-        patches = x[1:]
-        scores = spatial_scores(patches, attn.mean_attention[1:, 1:])
-        split = split_tokens(scores, cfg.alpha)
-    if not merge:
+    if merge:
+        out = x.copy()
+    else:
         out = ffn(x, ffn_weights, lanes)
         out += x
+    if merge or trace_scores:
+        traces = [
+            _stage_image(x[b], maps[b], out[b], cfg, ffn_weights, block_index, lanes, merge,
+                         trace_scores)
+            for b in range(x.shape[0])
+        ]
+    else:  # nothing per image: the full FFN and an empty out-of-band set in each
+        flops = ffn_flops(n_all, x.shape[2], ffn_weights.w1.shape[1])
+        traces = [
+            BlockTrace(block_index=block_index, n_a=0, n_b=n_all - 1, n_groups=0, n_residual=0,
+                       ffn_tokens=n_all, ffn_flops=flops,
+                       residual_indices=np.empty(0, dtype=np.int64))
+            for _ in range(x.shape[0])
+        ]
+    return (out[0], traces[0]) if single else (out, traces)
+
+
+def _stage_image(x, mean_attention, out, cfg, ffn_weights, block_index, lanes, merge,
+                 trace_scores) -> BlockTrace:
+    """One image of :func:`sata_stage`: its trace and, if ``merge``, its
+    reduced FFN added into ``out``, which starts as a copy of ``x``."""
+    n_all, d = x.shape
+    if merge or trace_scores:
+        patches = x[1:]
+        scores = spatial_scores(patches, mean_attention[1:, 1:])
+        split = split_tokens(scores, cfg.alpha)
+    if not merge:
         n_a, n_b, n_groups, n_tokens = 0, n_all - 1, 0, n_all
         residuals = np.empty(0, dtype=np.int64)
     else:
@@ -246,7 +287,6 @@ def sata_stage(
         deltas = ffn(ffn_in, ffn_weights, lanes)
 
         n_a, n_b = int(split.set_a.size), int(split.set_b.size)
-        out = x.copy()
         out[0] += deltas[0]
         out[1 + split.set_b] += deltas[1 : 1 + n_b]
         out[1 + plan.members] += np.repeat(deltas[1 + n_b :], plan.group_sizes, axis=0)
@@ -263,18 +303,16 @@ def sata_stage(
             bounds=(split.lower, split.upper),
             # a copy: a view keeps each block's (n, n) mean map alive, and the
             # averaged ViT-Ti stability report then peaked at 190, not 117 MB
-            cls_attention=attn.mean_attention[0, 1:].copy(),
+            cls_attention=mean_attention[0, 1:].copy(),
         )
-    hidden = ffn_weights.w1.shape[1]
-    trace = BlockTrace(
+    return BlockTrace(
         block_index=block_index,
         n_a=n_a,
         n_b=n_b,
         n_groups=n_groups,
         n_residual=int(residuals.size),
         ffn_tokens=n_tokens,
-        ffn_flops=ffn_flops(n_tokens, d, hidden),
+        ffn_flops=ffn_flops(n_tokens, d, ffn_weights.w1.shape[1]),
         residual_indices=residuals,
         **scored,
     )
-    return out, trace

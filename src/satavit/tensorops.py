@@ -1,10 +1,14 @@
 """Dense numerical kernels shared across the package.
 
-Matrices are plain 2-D C-contiguous float64 ndarrays.  Every public
-operation validates shapes against its contract; the heavy lifting is
-delegated to numpy/scipy.  No kernel checks that its result is
-finite: a non-finite value passes through (``gelu`` of ``inf`` is
-``inf``, ``cosine_similarity([nan, 1], [1, 1])`` is ``nan``).  The one
+Matrices are plain 2-D C-contiguous float64 ndarrays; ``row_softmax``,
+``layer_norm`` and ``gelu`` also take a stack of them, (B, n, d) with a
+leading image axis, and treat each slice exactly as the matrix alone
+(last-axis reductions only, so a slice's bits do not depend on the
+stack).  Every public operation validates shapes against its
+contract; the heavy lifting is delegated to numpy/scipy.  No kernel
+checks that its result is finite: a non-finite value passes through
+(``gelu`` of ``inf`` is ``inf``, ``cosine_similarity([nan, 1], [1, 1])``
+is ``nan``).  The one
 guard is ``layer_norm``'s: it raises ``FloatingPointError`` when a
 row's variance is non-finite, because an overflowing row would
 otherwise come out finite and wrong.  :mod:`satavit.engine` checks each
@@ -24,6 +28,7 @@ from scipy.special import erf
 
 __all__ = [
     "as_matrix",
+    "as_matrices",
     "row_softmax",
     "layer_norm",
     "gelu",
@@ -41,25 +46,34 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def as_matrices(a) -> np.ndarray:
+    """Coerce input to a float64 matrix (2-D) or stack of matrices (3-D)."""
+    m = np.asarray(a, dtype=np.float64)
+    if m.ndim not in (2, 3):
+        raise ValueError(f"expected a 2-D matrix or a 3-D stack, got array of shape {m.shape}")
+    return m
+
+
 def row_softmax(a) -> np.ndarray:
     """Softmax over each row, stabilized by max subtraction."""
-    a = as_matrix(a)
+    a = as_matrices(a)
     if a.size == 0:
         return a.copy()
-    e = a - a.max(axis=1, keepdims=True)
+    e = a - a.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
 def layer_norm(x, gain, bias) -> np.ndarray:
     """Per-row standardization (population variance, eps 1e-6) followed by affine."""
-    x = as_matrix(x)
+    x = as_matrices(x)
+    d = x.shape[-1]
     gain = np.asarray(gain, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
-    if gain.shape != (x.shape[1],) or bias.shape != (x.shape[1],):
+    if gain.shape != (d,) or bias.shape != (d,):
         raise ValueError(
-            f"layer_norm affine length mismatch: x has {x.shape[1]} columns, "
+            f"layer_norm affine length mismatch: x has {d} columns, "
             f"gain has shape {gain.shape}, bias has shape {bias.shape}"
         )
     # (x - mu) / sqrt(var + 1e-6) * gain + bias, var summed and divided
@@ -67,9 +81,9 @@ def layer_norm(x, gain, bias) -> np.ndarray:
     # variance overflows would come out as the bias, finite, so it is
     # rejected here rather than warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        dev = x - x.sum(axis=1, keepdims=True) / x.shape[1]  # x.mean's bits
-        var = (dev * dev).sum(axis=1, keepdims=True) / x.shape[1]
-    if not np.isfinite(var).all():
+        dev = x - x.sum(axis=-1, keepdims=True) / d  # x.mean's bits
+        var = (dev * dev).sum(axis=-1, keepdims=True) / d
+    if np.count_nonzero(np.isfinite(var)) != var.size:
         raise FloatingPointError("layer_norm produced non-finite entries")
     dev /= np.sqrt(var + 1e-6)
     dev *= gain
@@ -79,7 +93,7 @@ def layer_norm(x, gain, bias) -> np.ndarray:
 
 def gelu(x) -> np.ndarray:
     """Exact GELU x * Phi(x) with the Gaussian CDF (no tanh approximation)."""
-    x = as_matrix(x)
+    x = as_matrices(x)
     # 0.5 * x * (1 + erf(x / sqrt(2))); halving last keeps the bits: it is
     # exact except on subnormals, where 1 + erf(...) is exactly 1
     y = x * _INV_SQRT2

@@ -14,7 +14,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .parallel import SERIAL, Lanes, run
-from .tensorops import as_matrix, gelu, layer_norm, row_softmax
+from .tensorops import as_matrices, gelu, layer_norm, row_softmax
 
 __all__ = [
     "ModelConfig",
@@ -230,8 +230,8 @@ class HeadWeights:
 class AttentionOutput:
     """Attention result: residual-added features plus the head-averaged map."""
 
-    features: np.ndarray  # (num_tokens, dim), x + projected attention
-    mean_attention: np.ndarray  # (num_tokens, num_tokens), head average
+    features: np.ndarray  # ([B,] num_tokens, dim), x + projected attention
+    mean_attention: np.ndarray  # ([B,] num_tokens, num_tokens), head average
 
 
 def patch_embed(image, w: EmbedWeights, cfg: ModelConfig) -> np.ndarray:
@@ -274,29 +274,33 @@ def patch_embed(image, w: EmbedWeights, cfg: ModelConfig) -> np.ndarray:
 def mhsa(x, w: AttnWeights, heads: int, lanes: Lanes = SERIAL) -> AttentionOutput:
     """Pre-norm multi-head self-attention with residual add.
 
-    Per-head logits are scaled by 1/sqrt(dim/heads); ``mean_attention``
-    is the head average of the post-softmax maps, which are not kept.
-    ``lanes`` splits the work from the Q/K/V projections to the attended
-    values by head groups (each group projects its own columns); the
-    result is bitwise the same for every lane count.  A non-finite
-    weight passes through to ``features``, and only ``layer_norm``
-    raises, on an input row whose variance is non-finite; the caller
-    checks the result, as :func:`satavit.engine.run_blocks` does.
+    ``x`` is one image's tokens, (n, d), or a stack of them, (B, n, d);
+    each image's slice of the output is bitwise the output for that
+    image alone, because every product is a stacked ``matmul`` of the
+    same per-image shapes.  Per-head logits are scaled by
+    1/sqrt(dim/heads); ``mean_attention`` is the head average of the
+    post-softmax maps, which are not kept.  ``lanes`` splits the work
+    from the Q/K/V projections to the attended values by head groups
+    (each group projects its own columns); the result is bitwise the
+    same for every lane count.  A non-finite weight passes through to
+    ``features``, and only ``layer_norm`` raises, on an input row whose
+    variance is non-finite; the caller checks the result, as
+    :func:`satavit.engine.run_blocks` does.
     """
-    x = as_matrix(x)
-    n, d = x.shape
+    x = as_matrices(x)
+    n, d = x.shape[-2:]
     for name, mat in (("wq", w.wq), ("wk", w.wk), ("wv", w.wv), ("wo", w.wo)):
         if mat.shape != (d, d):
             raise ValueError(f"attention weight {name} has shape {mat.shape}, expected ({d}, {d})")
     if d % heads != 0:
         raise ValueError(f"dim {d} not divisible by {heads} heads")
     hd = d // heads
-    scale = 1.0 / np.sqrt(hd)
+    scale = 1.0 / math.sqrt(hd)  # correctly rounded, as np.sqrt
+    by_head = x.shape[:-1] + (-1, hd)  # ([B,] n, heads, hd), swapped to ([B,] heads, n, hd)
 
     normed = layer_norm(x, w.ln_gain, w.ln_bias)
-    attended = np.empty((n, d))
-    # each head's column block viewed as (heads, n, hd)
-    ah = attended.reshape(n, heads, hd).transpose(1, 0, 2)
+    attended = np.empty(x.shape)
+    ah = attended.reshape(by_head).swapaxes(-3, -2)
 
     def attend(group):
         cols = slice(group.start * hd, group.stop * hd)
@@ -304,20 +308,20 @@ def mhsa(x, w: AttnWeights, heads: int, lanes: Lanes = SERIAL) -> AttentionOutpu
         q += w.bq[cols]
         k += w.bk[cols]
         v += w.bv[cols]
-        qh, kh, vh = (m.reshape(n, -1, hd).transpose(1, 0, 2) for m in (q, k, v))
-        logits = qh @ kh.transpose(0, 2, 1)
+        qh, kh, vh = (m.reshape(by_head).swapaxes(-3, -2) for m in (q, k, v))
+        logits = qh @ kh.swapaxes(-2, -1)
         logits *= scale
-        maps = row_softmax(logits.reshape(-1, n)).reshape(-1, n, n)
-        np.matmul(maps, vh, out=ah[group])
+        maps = row_softmax(logits.reshape(-1, n)).reshape(logits.shape)
+        np.matmul(maps, vh, out=ah[..., group, :, :])
         return maps
 
     groups = run(attend, lanes.heads(heads, n, d), lanes.count)
-    maps = groups[0] if len(groups) == 1 else np.concatenate(groups)
+    maps = groups[0] if len(groups) == 1 else np.concatenate(groups, axis=-3)
     features = attended @ w.wo
     features += w.bo
     features += x
     # ndarray.mean's add.reduce and in-place divide, bitwise, without its wrapper
-    mean_attention = maps.sum(axis=0)
+    mean_attention = maps.sum(axis=-3)
     mean_attention /= heads
     return AttentionOutput(features=features, mean_attention=mean_attention)
 
@@ -325,6 +329,8 @@ def mhsa(x, w: AttnWeights, heads: int, lanes: Lanes = SERIAL) -> AttentionOutpu
 def ffn(x, w: FfnWeights, lanes: Lanes = SERIAL) -> np.ndarray:
     """Feed-forward delta: Linear -> GELU -> Linear on the layer-normed input.
 
+    ``x`` is one image's tokens, (n, d), or a stack of them, (B, n, d),
+    with each image's slice of the delta bitwise its delta alone.
     Returns only the delta; the caller owns the residual add.  An empty
     token tensor maps to an empty delta.  ``lanes`` splits the whole
     chain by token rows; the result is bitwise the same for every lane
@@ -333,20 +339,20 @@ def ffn(x, w: FfnWeights, lanes: Lanes = SERIAL) -> np.ndarray:
     non-finite; the caller checks the result, as
     :func:`satavit.engine.run_blocks` does.
     """
-    x = as_matrix(x)
-    n, d = x.shape
+    x = as_matrices(x)
+    n, d = x.shape[-2:]
     if w.w1.shape[0] != d or w.w2.shape[1] != d or w.w1.shape[1] != w.w2.shape[0]:
         raise ValueError(
             f"ffn weight shapes {w.w1.shape} / {w.w2.shape} do not chain for dim {d}"
         )
     if n == 0:
         return np.zeros_like(x)
-    out = np.empty((n, d))
+    out = np.empty(x.shape)
 
     def ffn_rows(rows):
-        h = layer_norm(x[rows], w.ln_gain, w.ln_bias) @ w.w1
+        h = layer_norm(x[..., rows, :], w.ln_gain, w.ln_bias) @ w.w1
         h += w.b1
-        part = out[rows]
+        part = out[..., rows, :]
         np.matmul(gelu(h), w.w2, out=part)
         part += w.b2
 

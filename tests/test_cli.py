@@ -476,7 +476,7 @@ class TestParallelReports:
         def failing(*args, **kwargs):
             raise FloatingPointError("block 0 gelu produced non-finite entries")
 
-        monkeypatch.setattr(harness, "forward", failing)
+        monkeypatch.setattr(harness, "forward_batch", failing)
         monkeypatch.setattr(parallel, "workers", lambda *args: 2)
         code, _, err = main_in_process(capsys, "stability", "--model", pool_model_path,
                                        "--average")
@@ -488,9 +488,9 @@ class TestParallelReports:
         gelu = vit.gelu
 
         def infinite_in_the_second_lane(x):  # rows 32-64 of a full block's FFN
-            if x.shape[0] == 33:
+            if x.shape[-2] == 33:
                 x = x.copy()
-                x[0, 0] = np.inf
+                x[..., 0, 0] = np.inf
             return gelu(x)
 
         cfg = ModelConfig(**POOL_CONFIG)

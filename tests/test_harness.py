@@ -89,6 +89,19 @@ class TestCorrupt:
         assert changed == round(0.01 * 4 * img.size)
         assert set(np.unique(out[out != img])) <= {0.0, 1.0}
 
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_impulse_hits_the_permutations_head(self, image, seed):
+        gray = image.reshape(CFG.image, CFG.image)
+        img = np.stack([gray, 1.0 - gray, gray * 0.5], axis=2)
+        for severity in range(1, 6):
+            gen = SplitMix64(seed)
+            k = int(round(0.01 * severity * img.size))
+            hit = gen.permutation(img.size)[:k]
+            want = img.reshape(-1).copy()
+            want[hit] = (gen.next_uint64(k) & np.uint64(1)).astype(np.float64)
+            got = corrupt(img, CorruptionSpec("impulse_noise", severity, seed=seed))
+            assert got.tobytes() == np.clip(want, 0.0, 1.0).reshape(img.shape).tobytes()
+
     def test_box_blur_constant_invariant(self):
         img = np.full((10, 10), 0.6)
         out = corrupt(img, CorruptionSpec("box_blur", 2, seed=0))
@@ -307,13 +320,14 @@ class TestReportsMatchReference:
 
 @pytest.fixture
 def block_evals(monkeypatch):
-    """Counts block evaluations: every block runs ``engine.mhsa`` exactly once."""
+    """Counts block evaluations: every block runs ``engine.mhsa`` exactly once
+    per image, on one image's stream or on a stack of them."""
     calls = []
     original = engine.mhsa
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(x, *args, **kwargs):
+        calls.extend([1] * (len(x) if np.ndim(x) == 3 else 1))
+        return original(x, *args, **kwargs)
 
     monkeypatch.setattr(engine, "mhsa", counted)
     return calls
@@ -384,13 +398,13 @@ def report_csvs(model) -> dict[str, str]:
 class TestThreadPool:
     def test_reports_byte_identical_on_and_off_the_pool(self, pool_model, monkeypatch):
         threads = set()
-        original = harness.forward
+        original = harness.forward_batch
 
         def recorded(*args, **kwargs):
             threads.add(threading.get_ident())
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "forward", recorded)
+        monkeypatch.setattr(harness, "forward_batch", recorded)
         monkeypatch.setattr(parallel, "workers", lambda *args: 1)
         serial = report_csvs(pool_model)
         assert threads == {threading.get_ident()}
@@ -400,16 +414,16 @@ class TestThreadPool:
         assert pooled == serial
 
     def test_task_error_reaches_the_caller(self, pool_model, monkeypatch):
-        original = harness.forward
+        original = harness.forward_batch
         calls = []
 
-        def failing(image, *args, **kwargs):
+        def failing(images, *args, **kwargs):
             calls.append(1)
             if len(calls) == 5:
                 raise FloatingPointError("block 2 ffn produced non-finite entries")
-            return original(image, *args, **kwargs)
+            return original(images, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "forward", failing)
+        monkeypatch.setattr(harness, "forward_batch", failing)
         monkeypatch.setattr(parallel, "workers", lambda *args: 2)
         image = random_image(POOL_CFG, 1)
         with pytest.raises(FloatingPointError, match="block 2 ffn produced non-finite"):

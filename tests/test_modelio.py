@@ -128,6 +128,20 @@ class TestSplitMix64:
         b = g.spawn(1).next_uint64(4).tolist()
         assert a != b
 
+    @pytest.mark.parametrize("seed", [0, 1, 5, 2**63 + 7])
+    @pytest.mark.parametrize("n", [1, 2, 7, 768, 224 * 224 * 3])
+    def test_permutation_prefix_is_the_permutations_head(self, seed, n):
+        for k in sorted({0, 1, n // 2, n}):
+            gen = SplitMix64(seed)
+            got = gen.permutation_prefix(n, k)
+            assert got.tolist() == SplitMix64(seed).permutation(n)[:k].tolist()
+            # the same n keys drawn, so the stream continues where permutation's does
+            assert gen.next_uint64(1).tolist() == SplitMix64(seed).next_uint64(n + 1)[-1:].tolist()
+
+    def test_permutation_prefix_rejects_a_length_outside_the_range(self):
+        with pytest.raises(ValueError, match="outside 0..3"):
+            SplitMix64(0).permutation_prefix(3, 4)
+
 
 class TestLayout:
     def test_schema_is_the_written_layout(self):

@@ -283,7 +283,7 @@ class TestNoNesting:
                                                                    monkeypatch):
         in_forward = threading.local()
         task_threads, gelu_calls = set(), []
-        forward_, gelu = harness.forward, vit.gelu
+        forward_, gelu = harness.forward_batch, vit.gelu
 
         def recorded_forward(*args, **kwargs):
             task_threads.add(threading.get_ident())
@@ -297,7 +297,7 @@ class TestNoNesting:
             gelu_calls.append(getattr(in_forward, "active", False))
             return gelu(x)
 
-        monkeypatch.setattr(harness, "forward", recorded_forward)
+        monkeypatch.setattr(harness, "forward_batch", recorded_forward)
         monkeypatch.setattr(vit, "gelu", recorded_gelu)
         force_workers(monkeypatch, 2)
         averaged_stability_report(pool_model, random_image(POOL_CFG, 1), seed=0)
@@ -319,7 +319,7 @@ def fail_in_the_second_ffn_lane(monkeypatch):
     original = vit.gelu
 
     def gelu(x):
-        if x.shape[0] == second.stop - second.start != first.stop - first.start:
+        if x.shape[-2] == second.stop - second.start != first.stop - first.start:
             failed.append(second.start)
             raise FloatingPointError("gelu failed in the second lane")
         return original(x)

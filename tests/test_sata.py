@@ -383,6 +383,18 @@ class TestBipartiteMatch:
             want = np.array([feats[members].mean(axis=0) for members in groups])
             assert plan.representatives.tobytes() == want.tobytes()
 
+    def test_representatives_of_a_large_group_are_the_mean_bitwise(self):
+        # every source points near token 1, so one group gathers 16 members
+        rng = np.random.default_rng(34)
+        feats = rng.normal(size=(32, 6))
+        feats[0::2] = feats[1] + 0.01 * rng.normal(size=(16, 6))
+        feats[:, 4] = -0.0
+        plan = bipartite_match(np.arange(32), feats)
+        assert plan.group_sizes.max() >= 10
+        groups = np.split(plan.members, np.cumsum(plan.group_sizes)[:-1])
+        want = np.array([feats[members].mean(axis=0) for members in groups])
+        assert plan.representatives.tobytes() == want.tobytes()
+
     def test_deterministic(self):
         rng = np.random.default_rng(32)
         feats = rng.normal(size=(12, 4))

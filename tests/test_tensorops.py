@@ -218,6 +218,24 @@ class TestMeanStdMedian:
         with pytest.raises(ValueError):
             SpatialScores.from_values([])
 
+    def test_sorted_middle_is_numpys_median_magnitude_bitwise(self):
+        # sizes 1-400 with ties, signed zeros and infinities; the raw median
+        # may differ in the sign of a zero, so the magnitudes are compared
+        rng = np.random.default_rng(77)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, 1.5, -1.5])
+        for n in range(1, 401):
+            for kind in ("normal", "ties", "specials"):
+                s = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+                if kind == "ties":
+                    s = rng.choice(s[: max(1, n // 4)], size=n)
+                elif kind == "specials":
+                    hit = rng.random(n) < 0.5
+                    s[hit] = rng.choice(specials, size=int(hit.sum()))
+                with np.errstate(invalid="ignore"):  # -inf and inf as the two middles
+                    got = SpatialScores.from_values(s).abs_median_s
+                    want = abs(float(np.median(s)))
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (n, kind)
+
 
 class TestCosineSimilarity:
     def test_identical_is_exactly_one(self):
