@@ -15,7 +15,11 @@ stack on a model large enough for the thread pool, many below that),
 and ``parallel.run`` runs the stacks on the calling thread and the pool
 where that pays (see ``parallel.workers``) and returns them in order,
 so every reduction sums in the serial order and the CSVs depend on
-neither.
+neither.  Each stack's blocks score and band all its images in one
+call (see ``sata.sata_stage``).  The stability report then compares
+every block of every corrupted forward with the clean one in one
+``cosine_similarity`` call over row stacks, and the stats report
+pools all images' scores into one histogram per block.
 """
 
 from __future__ import annotations
@@ -128,14 +132,15 @@ def _stability(model: Model, image, specs, cfg: ModelConfig) -> list[StabilityRe
         return _scored_traces(model, images, cfg)
 
     clean, *corrupted = _stacked(corrupted_traces, [[None, *specs]], cfg)
-    deltas = [
-        np.array([
-            (cosine_similarity(c.cls_attention, x.cls_attention),
-             cosine_similarity(c.scores.s, x.scores.s))
-            for c, x in zip(clean, traces)
-        ])
-        for traces in corrupted or [clean]
-    ]
+    corrupted = corrupted or [clean]
+
+    def rows(traces):  # the class-attention rows, then the score rows
+        return [tr.cls_attention for tr in traces] + [tr.scores.s for tr in traces]
+
+    # every block of every corrupted forward in one call: (specs, 2, blocks)
+    cosines = cosine_similarity(np.array(rows(clean) * len(corrupted)),
+                                np.array([row for traces in corrupted for row in rows(traces)]))
+    deltas = cosines.reshape(len(corrupted), 2, len(clean)).transpose(0, 2, 1)
     mean = sum(deltas[1:], deltas[0]) / len(deltas)
     return [
         StabilityRecord(tr.block_index, float(att), float(sata))
@@ -200,7 +205,6 @@ def stats_report(model: Model, images, cfg: ModelConfig | None = None) -> list[l
     run_cfg = cfg if cfg is not None else model.config
     depth = run_cfg.depth
     sums = np.zeros((depth, len(_STATS_COLUMNS)))
-    hists = np.zeros((depth, HIST_BINS), dtype=np.int64)
     per_image = _stacked(lambda stack: _scored_traces(model, stack, run_cfg), [images], run_cfg)
     for traces in per_image:  # summed in image order
         sums += [
@@ -208,10 +212,12 @@ def stats_report(model: Model, images, cfg: ModelConfig | None = None) -> list[l
              tr.ffn_tokens, tr.ffn_flops]
             for tr in traces
         ]
-        for b, tr in enumerate(traces):
-            clipped = np.clip(tr.scores.s, HIST_RANGE[0], HIST_RANGE[1])
-            counts, _ = np.histogram(clipped, bins=HIST_BINS, range=HIST_RANGE)
-            hists[b] += counts
+    # counts add exactly, so one histogram per block pools every image's scores
+    hists = [
+        np.histogram(np.clip(np.concatenate([tr.scores.s for tr in block]), *HIST_RANGE),
+                     bins=HIST_BINS, range=HIST_RANGE)[0]
+        for block in zip(*per_image)
+    ]
     means = sums / len(images)
     return [[b, *means[b].tolist(), *hists[b].tolist()] for b in range(depth)]
 

@@ -41,10 +41,19 @@ __all__ = [
 class SplitResult:
     """Partition of patch-token indices into in-band and out-of-band sets."""
 
-    set_b: np.ndarray  # indices with lower <= s <= upper, ascending
-    set_a: np.ndarray  # complement, ascending
+    inside: np.ndarray  # per token: lower <= s <= upper
     lower: float
     upper: float
+
+    @property
+    def set_b(self) -> np.ndarray:
+        """In-band token indices, ascending."""
+        return self.inside.nonzero()[0]
+
+    @property
+    def set_a(self) -> np.ndarray:
+        """Out-of-band token indices (the complement of ``set_b``), ascending."""
+        return (~self.inside).nonzero()[0]
 
 
 @dataclass(frozen=True)
@@ -62,7 +71,7 @@ class MergePlan:
     residuals: np.ndarray  # targets with no incoming edge
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BlockTrace:
     """Per-block record of split sizes, FFN load and, with ``trace_scores``, scores.
 
@@ -73,7 +82,9 @@ class BlockTrace:
     ``split_tokens(trace.scores, alpha)`` re-bands the block at any
     alpha.  A trace keeps no token stream: ``engine.run_blocks`` over
     the one block gives its output, and ``mhsa(...).features`` the
-    pre-FFN stream.
+    pre-FFN stream.  Traces are plain records, not frozen: the stage
+    builds one per block and image, and a frozen dataclass sets each
+    field through ``object.__setattr__``, several times the cost.
     """
 
     block_index: int
@@ -89,28 +100,39 @@ class BlockTrace:
     cls_attention: Optional[np.ndarray] = None
 
 
-def split_tokens(scores: SpatialScores, alpha: float) -> SplitResult:
+def split_tokens(
+    scores: SpatialScores | list[SpatialScores], alpha: float
+) -> SplitResult | list[SplitResult]:
     """Split token indices by the closed alpha-scaled band around the scores.
 
     The out-of-band set is the complement of the band (score strictly
     below the lower bound or strictly above the upper bound); bound
-    hits count as in-band.
+    hits count as in-band.  One image's :class:`SpatialScores` gives its
+    :class:`SplitResult`; a list of them, one per image of a stack, gives
+    one ``SplitResult`` per image, the bounds and membership of all of
+    them from one vectorised compare.  The one image is the stack of one.
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    lower = alpha * (scores.mean_s - scores.abs_median_s)
-    upper = alpha * (scores.mean_s + scores.abs_median_s)
-    inside = (scores.s >= lower) & (scores.s <= upper)
-    return SplitResult(
-        set_b=np.flatnonzero(inside),
-        set_a=np.flatnonzero(~inside),
-        lower=float(lower),
-        upper=float(upper),
-    )
+    stacked = not isinstance(scores, SpatialScores)
+    rows = scores if stacked else [scores]
+    mean = np.array([sc.mean_s for sc in rows])
+    half = np.array([sc.abs_median_s for sc in rows])
+    lower = alpha * (mean - half)
+    upper = alpha * (mean + half)
+    s = np.array([sc.s for sc in rows])
+    inside = s >= lower[:, None]
+    inside &= s <= upper[:, None]
+    splits = [
+        SplitResult(inside=row, lower=lo, upper=up)
+        for row, lo, up in zip(inside, lower.tolist(), upper.tolist())
+    ]
+    return splits if stacked else splits[0]
 
 
 def _unit_rows(f: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(f, axis=1, keepdims=True)
+    # np.linalg.norm(f, axis=1, keepdims=True) computes exactly this
+    norms = np.sqrt(np.add.reduce(f * f, axis=1, keepdims=True))
     return np.divide(f, norms, out=np.zeros_like(f), where=norms > 0)
 
 
@@ -146,22 +168,24 @@ def bipartite_match(set_a, features) -> MergePlan:
     sim = _unit_rows(f1) @ _unit_rows(f2).T
     # all-zero rows have unit 0; a zero source against a zero target
     # counts as identical (similarity 1), matching the package-wide
-    # cosine convention
-    zero1 = np.all(f1 == 0.0, axis=1)
-    zero2 = np.all(f2 == 0.0, axis=1)
-    if zero1.any() and zero2.any():
+    # cosine convention.  Exact zeros: a row whose norm underflows to 0
+    # is no zero row.  (The ufunc reductions np.all and ndarray.any run,
+    # without their Python wrappers.)
+    zero1 = np.logical_and.reduce(f1 == 0.0, axis=1)
+    zero2 = np.logical_and.reduce(f2 == 0.0, axis=1)
+    if np.logical_or.reduce(zero1) and np.logical_or.reduce(zero2):
         sim[np.ix_(zero1, zero2)] = 1.0
 
     # argmax returns the first maximum; a2 is ascending, so ties resolve
     # to the lowest token index
-    choice = np.argmax(sim, axis=1)
+    choice = sim.argmax(axis=1)
     edges = dict(zip(a1.tolist(), a2[choice].tolist()))
 
     hit = np.zeros(a2.size, dtype=bool)
     hit[choice] = True
     # every member keyed by its target's position in a2: ascending a2
     # positions are ascending group targets
-    keys = np.concatenate([np.flatnonzero(hit), choice])
+    keys = np.concatenate([hit.nonzero()[0], choice])
     tokens = np.concatenate([a2[hit], a1])
     members = tokens[np.lexsort((tokens, keys))]
     group_sizes = np.bincount(choice, minlength=a2.size)[hit] + 1
@@ -170,9 +194,9 @@ def bipartite_match(set_a, features) -> MergePlan:
     # pass, then divided: bitwise equal to features[group].mean(axis=0)
     # (np.add.reduceat is not).  Largest groups first: the groups with a
     # member of rank r are then the first longer[r]
-    order = np.argsort(-group_sizes, kind="stable")
-    first = (np.cumsum(group_sizes) - group_sizes)[order]
-    longer = np.cumsum(np.bincount(group_sizes)[::-1])[::-1][1:]
+    order = (-group_sizes).argsort(kind="stable")
+    first = (np.add.accumulate(group_sizes) - group_sizes)[order]
+    longer = np.add.accumulate(np.bincount(group_sizes)[::-1])[::-1][1:]
     sums = np.zeros((group_sizes.size, features.shape[1]))
     for rank, live in enumerate(longer.tolist()):
         sums[:live] += features[members[first[:live] + rank]]
@@ -224,24 +248,27 @@ def sata_stage(
     FFN runs on the stream itself, once over the whole stack, with no
     gather or restore; the trace reports an empty out-of-band set
     (``n_a=0``, ``n_b=N-1``, no groups, no residuals, ``ffn_tokens=N``).
-    A merging block's token sets differ per image, so it runs image by
-    image.  The FFN runs on ``lanes``.
 
-    With ``trace_scores`` every block is scored and banded and the
-    trace carries the scores, bounds and class-token attention row; a
-    pass-through block reports its real scores and bounds next to the
-    empty out-of-band set.  Without it those fields are ``None``, and a
-    pass-through block skips scoring and banding altogether.  The
-    output is the same either way.
+    A merging block, and with ``trace_scores`` every block, scores and
+    bands the whole stack at once: one ``spatial_scores`` and one
+    ``split_tokens`` call.  A merging block's token sets differ per
+    image, so only the match, the reduced FFN and the restore run image
+    by image.  The FFN runs on ``lanes``.
+
+    With ``trace_scores`` every trace carries the scores, bounds and
+    class-token attention row; a pass-through block reports its real
+    scores and bounds next to the empty out-of-band set.  Without it
+    those fields are ``None``, and a pass-through block skips scoring
+    and banding altogether.  The output is the same either way.
     """
     x = as_matrices(attn.features)
     single = x.ndim == 2
     maps = attn.mean_attention[None] if single else attn.mean_attention
     x = x[None] if single else x
-    n_all = x.shape[1]
+    images, n_all, d = x.shape
     if n_all < 2:
         raise ValueError(f"need at least one patch token besides the class token, got {n_all} rows")
-    if maps.shape != x.shape[:1] + (n_all, n_all):
+    if maps.shape != (images, n_all, n_all):
         raise ValueError(
             f"attention map shape {attn.mean_attention.shape} does not match {n_all} tokens"
         )
@@ -253,66 +280,44 @@ def sata_stage(
         out = ffn(x, ffn_weights, lanes)
         out += x
     if merge or trace_scores:
-        traces = [
-            _stage_image(x[b], maps[b], out[b], cfg, ffn_weights, block_index, lanes, merge,
-                         trace_scores)
-            for b in range(x.shape[0])
-        ]
-    else:  # nothing per image: the full FFN and an empty out-of-band set in each
-        flops = ffn_flops(n_all, x.shape[2], ffn_weights.w1.shape[1])
-        traces = [
-            BlockTrace(block_index=block_index, n_a=0, n_b=n_all - 1, n_groups=0, n_residual=0,
-                       ffn_tokens=n_all, ffn_flops=flops,
-                       residual_indices=np.empty(0, dtype=np.int64))
-            for _ in range(x.shape[0])
-        ]
+        scores = spatial_scores(x[:, 1:], maps[:, 1:, 1:])
+        splits = split_tokens(scores, cfg.alpha)
+    if merge:
+        counts = [_merge_image(x[b], out[b], split, ffn_weights, lanes)
+                  for b, split in enumerate(splits)]
+    else:  # the full FFN and an empty out-of-band set in each image
+        counts = [(0, n_all - 1, 0, n_all, np.empty(0, dtype=np.int64))] * images
+    if trace_scores:
+        # one copy for the stack: a view would keep the block's mean maps
+        # alive, and the averaged ViT-Ti stability report then peaked at
+        # 190, not 117 MB
+        cls_rows = maps[:, 0, 1:].copy()
+        scored = zip(scores, [(sp.lower, sp.upper) for sp in splits], cls_rows)
+    else:
+        scored = [(None, None, None)] * images
+    hidden = ffn_weights.w1.shape[1]
+    traces = [
+        BlockTrace(block_index, n_a, n_b, n_groups, residuals.size, n_tokens,
+                   ffn_flops(n_tokens, d, hidden), residuals, *fields)
+        for (n_a, n_b, n_groups, n_tokens, residuals), fields in zip(counts, scored)
+    ]
     return (out[0], traces[0]) if single else (out, traces)
 
 
-def _stage_image(x, mean_attention, out, cfg, ffn_weights, block_index, lanes, merge,
-                 trace_scores) -> BlockTrace:
-    """One image of :func:`sata_stage`: its trace and, if ``merge``, its
-    reduced FFN added into ``out``, which starts as a copy of ``x``."""
-    n_all, d = x.shape
-    if merge or trace_scores:
-        patches = x[1:]
-        scores = spatial_scores(patches, mean_attention[1:, 1:])
-        split = split_tokens(scores, cfg.alpha)
-    if not merge:
-        n_a, n_b, n_groups, n_tokens = 0, n_all - 1, 0, n_all
-        residuals = np.empty(0, dtype=np.int64)
-    else:
-        plan = bipartite_match(split.set_a, patches)
-        ffn_in = np.concatenate([x[:1], patches[split.set_b], plan.representatives], axis=0)
-        deltas = ffn(ffn_in, ffn_weights, lanes)
+def _merge_image(x, out, split: SplitResult, ffn_weights, lanes) -> tuple:
+    """One image of a merging block: match its out-of-band tokens, run the
+    reduced FFN and add each delta into ``out``, which starts as a copy
+    of ``x``.  Returns the trace's ``(n_a, n_b, n_groups, ffn_tokens,
+    residual_indices)``."""
+    patches = x[1:]
+    set_a, set_b = split.set_a, split.set_b
+    plan = bipartite_match(set_a, patches)
+    ffn_in = np.concatenate([x[:1], patches[set_b], plan.representatives], axis=0)
+    deltas = ffn(ffn_in, ffn_weights, lanes)
 
-        n_a, n_b = int(split.set_a.size), int(split.set_b.size)
-        out[0] += deltas[0]
-        out[1 + split.set_b] += deltas[1 : 1 + n_b]
-        out[1 + plan.members] += np.repeat(deltas[1 + n_b :], plan.group_sizes, axis=0)
-        # residual rows stay bitwise untouched
-
-        n_groups = int(plan.group_sizes.size)
-        n_tokens = ffn_in.shape[0]
-        residuals = plan.residuals
-
-    scored = {}
-    if trace_scores:
-        scored = dict(
-            scores=scores,
-            bounds=(split.lower, split.upper),
-            # a copy: a view keeps each block's (n, n) mean map alive, and the
-            # averaged ViT-Ti stability report then peaked at 190, not 117 MB
-            cls_attention=mean_attention[0, 1:].copy(),
-        )
-    return BlockTrace(
-        block_index=block_index,
-        n_a=n_a,
-        n_b=n_b,
-        n_groups=n_groups,
-        n_residual=int(residuals.size),
-        ffn_tokens=n_tokens,
-        ffn_flops=ffn_flops(n_tokens, d, ffn_weights.w1.shape[1]),
-        residual_indices=residuals,
-        **scored,
-    )
+    n_b = set_b.size
+    out[0] += deltas[0]
+    out[1 + set_b] += deltas[1 : 1 + n_b]
+    out[1 + plan.members] += deltas[1 + n_b :].repeat(plan.group_sizes, axis=0)
+    # residual rows stay bitwise untouched
+    return set_a.size, n_b, plan.group_sizes.size, ffn_in.shape[0], plan.residuals

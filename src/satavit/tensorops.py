@@ -104,20 +104,28 @@ def gelu(x) -> np.ndarray:
     return y
 
 
-def cosine_similarity(u, v) -> float:
-    """Cosine of the angle between two flattened vectors.
+def cosine_similarity(u, v) -> float | np.ndarray:
+    """Cosine of the angle between two flattened vectors, or row by row.
 
     Degenerate conventions: identical inputs (including zero/zero) give
-    exactly 1.0, a zero vector against a nonzero one gives 0.0.
+    exactly 1.0, a zero vector against a nonzero one gives 0.0.  Two
+    row stacks, (k, n), give the (k,) cosines of their rows, each
+    bitwise its 1-D call and under the same conventions: the dots are
+    a stacked ``matmul``, the BLAS dot ``np.dot`` and ``np.linalg.norm``
+    call.  Any other shape is flattened and gives a float.
     """
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    rows = u.ndim == 2 and v.ndim == 2
+    if not rows:
+        u = u.ravel()[None]
+        v = v.ravel()[None]
     if u.shape != v.shape:
-        raise ValueError(f"cosine_similarity length mismatch: {u.size} vs {v.size}")
-    if np.array_equal(u, v):
-        return 1.0
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
+        raise ValueError(f"cosine_similarity shape mismatch: {u.shape} vs {v.shape}")
+    uu = u[:, None, :]
+    dot = np.matmul(uu, v[:, :, None])[:, 0, 0]
+    nu = np.sqrt(np.matmul(uu, u[:, :, None])[:, 0, 0])
+    nv = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+    cos = np.divide(dot, nu * nv, out=np.zeros_like(dot), where=(nu != 0.0) & (nv != 0.0))
+    cos[np.logical_and.reduce(u == v, axis=1)] = 1.0
+    return cos if rows else float(cos[0])

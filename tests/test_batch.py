@@ -150,19 +150,23 @@ class TestStageOnAStack:
     """``sata_stage`` on a stack against one image at a time, on the
     features of the loop reference's tie and zero-row cases."""
 
-    @pytest.mark.parametrize("shape", ["8x32", "vit-ti"])
-    @pytest.mark.parametrize("block", [0, 11])  # pass-through and merging at gamma 0.5
-    @pytest.mark.parametrize("trace_scores", [False, True])
-    def test_equals_one_image_at_a_time(self, shape, block, trace_scores):
+    @staticmethod
+    def _check(shape, kinds, block, trace_scores):
+        """The stage on a stack of ``kinds`` images against each image alone;
+        returns the stack's traces."""
         rng = np.random.default_rng(503)
         cfg = ModelConfig(**TestLoopReferenceBitwise.SHAPES[shape]).with_overrides(
             depth=12, gamma=0.5, alpha=0.8)
         n, d = cfg.num_tokens, cfg.dim
         fw = make_ffn_weights(rng, d, cfg.hidden)
-        attns = [
-            make_attention(rng, cfg.heads, TestLoopReferenceBitwise._features(rng, kind, n, d))
-            for kind in ("ties", "zero-rows", "normal", "ties")
-        ]
+        attns = []
+        for kind in kinds:
+            if kind == "constant":  # every patch alike: zero scores, all in band
+                x = rng.normal(size=(n, d))
+                x[2:] = x[1]
+            else:
+                x = TestLoopReferenceBitwise._features(rng, kind, n, d)
+            attns.append(make_attention(rng, cfg.heads, x))
         stack = AttentionOutput(features=np.stack([a.features for a in attns]),
                                 mean_attention=np.stack([a.mean_attention for a in attns]))
         out, traces = sata_stage(stack, cfg, fw, block, trace_scores=trace_scores)
@@ -171,8 +175,26 @@ class TestStageOnAStack:
             want, want_trace = sata_stage(attn, cfg, fw, block, trace_scores=trace_scores)
             assert out[b].tobytes() == want.tobytes(), b
             assert bits(traces[b]) == bits(want_trace), b
+            if trace_scores:
+                assert not np.shares_memory(traces[b].cls_attention, stack.mean_attention)
         merging = block >= cfg.sata_start_block
         assert any(tr.n_a > 0 for tr in traces) == merging
+        return traces
+
+    @pytest.mark.parametrize("shape", ["8x32", "vit-ti"])
+    @pytest.mark.parametrize("block", [0, 11])  # pass-through and merging at gamma 0.5
+    @pytest.mark.parametrize("trace_scores", [False, True])
+    def test_equals_one_image_at_a_time(self, shape, block, trace_scores):
+        self._check(shape, ["ties", "zero-rows", "normal", "ties"], block, trace_scores)
+
+    @pytest.mark.parametrize("block", [0, 11])
+    @pytest.mark.parametrize("trace_scores", [False, True])
+    def test_a_stability_reports_stack_of_21(self, block, trace_scores):
+        kinds = ["normal", "ties", "constant", "zero-rows", "normal"] * 4 + ["constant"]
+        traces = self._check("8x32", kinds, block, trace_scores)
+        if block == 11:  # merging and non-merging images in one merging block
+            assert {tr.n_a == 0 for tr in traces} == {True, False}
+            assert all(tr.n_a == 0 for kind, tr in zip(kinds, traces) if kind == "constant")
 
     def test_map_shape_must_match_the_stack(self):
         rng = np.random.default_rng(4)

@@ -167,3 +167,79 @@ class TestSpatialScores:
         assert a.mean_s == float(np.mean(values))
         assert np.allclose([a.mean_s, a.abs_median_s], [b.mean_s, b.abs_median_s],
                            rtol=1e-12, atol=1e-9)
+
+
+def textbook_scores(x, w):
+    """One image's scores in textbook numpy, one vector at a time: ``mean``,
+    ``std``, ``w.T @ z`` and ``np.median``; the bitwise oracle for stacks."""
+    def standardize(a):
+        if np.all(a == a[0]) or a.std() == 0.0:
+            return np.zeros_like(a)
+        return (a - a.mean()) / a.std()
+
+    z = standardize(x.mean(axis=1))
+    s = standardize(z * (w.T @ z))
+    return s, float(np.mean(s)), abs(float(np.median(s)))
+
+
+def score_bits(scores):
+    return scores.s.tobytes(), np.float64(scores.mean_s).tobytes(), \
+        np.float64(scores.abs_median_s).tobytes()
+
+
+def special_stack(rng, n, d, images=5):
+    """A stack of token tensors and the stage's kind of weight views (the
+    patch block of larger maps), with degenerate images up front: a
+    constant attribute with a mean that is not representable, and an
+    attribute whose sigma underflows to 0."""
+    x = rng.normal(size=(images, n, d)) * 3.0 + 1.0
+    x[0] = -0.3
+    x[1] = 0.0
+    x[1, 1::2] = 1e-170
+    maps = rng.random(size=(images, n + 1, n + 1))
+    return x, maps[:, 1:, 1:]
+
+
+class TestStackedScores:
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 196])
+    def test_each_image_is_its_own_call_and_the_textbook(self, n):
+        rng = np.random.default_rng(n)
+        x, w = special_stack(rng, n, 8)
+        got = spatial_scores(x, w)
+        assert isinstance(got, list) and len(got) == len(x)
+        for b, scores in enumerate(got):
+            alone = spatial_scores(x[b], w[b])
+            s, mean_s, abs_median_s = textbook_scores(x[b], w[b])
+            assert score_bits(scores) == score_bits(alone), b
+            assert score_bits(scores) == score_bits(SpatialScores(s, mean_s, abs_median_s)), b
+
+    def test_degenerate_images_score_positive_zeros(self):
+        x, w = special_stack(np.random.default_rng(3), 16, 8)
+        a = global_attribute(x)
+        assert np.all(a[0] == a[0, 0])  # constant attribute
+        dev = a[1] - a[1].mean()
+        assert np.any(dev != 0.0) and np.sum(dev * dev) == 0.0  # sigma underflows
+        for scores in spatial_scores(x, w)[:2]:
+            assert scores.s.tobytes() == np.zeros(16).tobytes()  # +0.0, not -0.0
+
+    def test_stack_of_one_is_the_matrix(self):
+        x, w = special_stack(np.random.default_rng(4), 9, 5)
+        for b in range(len(x)):
+            (one,) = spatial_scores(x[b : b + 1], w[b : b + 1])
+            assert score_bits(one) == score_bits(spatial_scores(x[b], w[b]))
+
+    def test_z_normalize_rows(self):
+        rows = np.array([[-0.3] * 5, [0.0, 1e-170, 0.0, 1e-170, 0.0], [2.0, 4.0, 6.0, 8.0, 1.0]])
+        got = z_normalize(rows)
+        assert got[:2].tobytes() == np.zeros((2, 5)).tobytes()
+        for row, want in zip(got, rows):
+            assert row.tobytes() == z_normalize(want).tobytes()
+        assert got[2].tobytes() == ((rows[2] - rows[2].mean()) / rows[2].std()).tobytes()
+
+    def test_stacked_weights_must_match(self):
+        with pytest.raises(ValueError, match="does not match"):
+            spatial_scores(np.zeros((2, 3, 2)), np.zeros((2, 4, 4)))
+        with pytest.raises(ValueError, match="does not match"):
+            spatial_scores(np.zeros((2, 3, 2)), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="does not match"):
+            local_moran(np.zeros((2, 3)), np.zeros((3, 3, 3)))

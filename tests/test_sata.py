@@ -294,6 +294,51 @@ class TestSplitTokens:
         assert not np.any(inside[res.set_a])
 
 
+def split_bits(split):
+    return split.inside.tobytes(), np.float64(split.lower).tobytes(), \
+        np.float64(split.upper).tobytes(), split.set_a.tobytes(), split.set_b.tobytes()
+
+
+class TestStackedSplit:
+    """``split_tokens`` on a list of scores against each image's call and a
+    textbook band, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 196])
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5])
+    def test_each_image_is_its_own_call(self, n, alpha):
+        rng = np.random.default_rng(n)
+        maps = rng.random(size=(6, n + 1, n + 1))
+        x = rng.normal(size=(6, n, 8))
+        x[0] = -0.3  # constant attribute: zero scores, every token in band
+        scores = spatial_scores(x, maps[:, 1:, 1:])
+        got = split_tokens(scores, alpha)
+        assert isinstance(got, list) and len(got) == len(scores)
+        for sc, split in zip(scores, got):
+            assert split_bits(split) == split_bits(split_tokens(sc, alpha))
+            lower = alpha * (sc.mean_s - sc.abs_median_s)
+            upper = alpha * (sc.mean_s + sc.abs_median_s)
+            inside = (sc.s >= lower) & (sc.s <= upper)
+            assert (split.lower, split.upper) == (lower, upper)
+            assert split.set_b.tolist() == np.flatnonzero(inside).tolist()
+            assert split.set_a.tolist() == np.flatnonzero(~inside).tolist()
+        assert got[0].set_a.size == 0
+
+    def test_scores_on_the_bounds_are_in_band(self):
+        # mean 3, |median| 3: band [0, 6]; mean 0, |median| 0: band [0, 0]
+        scores = [SpatialScores.from_values(v) for v in ([0.0, 2.0, 4.0, 6.0],
+                                                         [-3.0, 0.0, 0.0, 3.0])]
+        got = split_tokens(scores, 1.0)
+        assert [(sp.lower, sp.upper) for sp in got] == [(0.0, 6.0), (0.0, 0.0)]
+        assert [sp.set_b.tolist() for sp in got] == [[0, 1, 2, 3], [1, 2]]
+        assert [sp.set_a.tolist() for sp in got] == [[], [0, 3]]
+        for sc, split in zip(scores, got):
+            assert split_bits(split) == split_bits(split_tokens(sc, 1.0))
+
+    def test_alpha_must_be_positive_for_a_stack(self):
+        with pytest.raises(ValueError, match="alpha"):
+            split_tokens([SpatialScores.from_values([1.0])], alpha=-1.0)
+
+
 class TestBipartiteMatch:
     def test_hand_fixture_shared_target(self):
         feats = np.zeros((8, 2))
@@ -310,6 +355,18 @@ class TestBipartiteMatch:
         want = feats[[0, 2, 5]].mean(axis=0)
         assert np.array_equal(plan.representatives, want[None])
         assert plan.residuals.tolist() == [7]
+
+    def test_an_underflowing_norm_is_no_zero_row(self):
+        feats = np.zeros((4, 3))
+        feats[0] = 1e-170  # source whose norm underflows to 0
+        feats[1] = [1.0, 2.0, 3.0]
+        feats[2] = [1.0, 0.0, 0.0]  # feats[3], a target, is the exact zero row
+        assert np.linalg.norm(feats[0]) == 0.0
+        plan = bipartite_match([0, 1, 2, 3], feats)
+        # all-zero similarities: the first target, not the zero row's 1.0
+        assert plan.edges == {0: 1, 2: 1} == loop_match([0, 1, 2, 3], feats)[0]
+        feats[0] = 0.0
+        assert bipartite_match([0, 1, 2, 3], feats).edges == {0: 3, 2: 1}
 
     def test_empty_set(self):
         plan = bipartite_match([], np.zeros((4, 3)))

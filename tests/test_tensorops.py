@@ -255,3 +255,30 @@ class TestCosineSimilarity:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             cosine_similarity([1.0], [1.0, 2.0])
+
+    def test_rows_are_each_their_own_call(self):
+        rng = np.random.default_rng(9)
+        u = rng.normal(size=(9, 17))
+        v = u + rng.normal(size=(9, 17)) * 1e-3
+        v[0] = u[0]  # identical: exactly 1.0
+        u[1] = 0.0  # zero against nonzero: 0.0
+        u[2] = v[2] = 0.0  # both zero: 1.0
+        u[3] = -0.0  # -0.0 entries against +0.0: identical
+        v[3] = 0.0
+        u[4, ::2] = -0.0  # -0.0 entries against a nonzero row
+        v[5] = -u[5]
+        got = cosine_similarity(u, v)
+        assert got.shape == (9,)
+        for k in range(9):
+            want = cosine_similarity(u[k], v[k])
+            assert type(want) is float
+            assert np.float64(got[k]).tobytes() == np.float64(want).tobytes(), k
+            dot, nu, nv = np.dot(u[k], v[k]), np.linalg.norm(u[k]), np.linalg.norm(v[k])
+            if not np.array_equal(u[k], v[k]) and nu != 0.0 and nv != 0.0:
+                assert np.float64(want).tobytes() == (dot / (nu * nv)).tobytes(), k
+        assert got[:4].tolist() == [1.0, 0.0, 1.0, 1.0]
+        assert got[5] == pytest.approx(-1.0, abs=1e-15)
+
+    def test_row_stacks_must_match(self):
+        with pytest.raises(ValueError):
+            cosine_similarity(np.zeros((2, 3)), np.zeros((3, 3)))

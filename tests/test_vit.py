@@ -632,5 +632,8 @@ class TestTraceScores:
         _, traces = forward(img, model, cfg=model.config.with_overrides(**self.RUNS[run]),
                             trace_scores=True)
         for trace in traces:
-            assert trace.cls_attention.shape == (n - 1,)
-            assert trace.cls_attention.base is None, trace.block_index
+            row = trace.cls_attention
+            assert row.shape == (n - 1,)
+            # the memory behind the row holds the one image's row, not its map
+            owner = row if row.base is None else row.base
+            assert owner.size == n - 1, trace.block_index
