@@ -21,8 +21,7 @@ for param, values, fixed in (("alpha", [0.5, 0.75, 1.0, 1.5, 2.0, 1e9], "gamma f
     for rec in records:
         print(f"{rec.value:<10g} {rec.total_flops:>14.0f} {rec.logit_drift:>13.6f}")
     print()
-    write_csv(f"sweep_{param}.csv", SWEEP_HEADER,
-              [[r.value, r.total_flops, r.logit_drift] for r in records])
+    write_csv(f"sweep_{param}.csv", SWEEP_HEADER, records)  # each record is a CSV row
 
 print("wrote sweep_alpha.csv and sweep_gamma.csv")
 print("A band-covering alpha (1e9) or gamma = 1.0 reproduces the baseline")

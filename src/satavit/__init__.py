@@ -42,7 +42,6 @@ from .sata import (
     MergePlan,
     SplitResult,
     bipartite_match,
-    ffn_flops,
     sata_stage,
     split_tokens,
 )
@@ -52,7 +51,7 @@ from .tensorops import (
     layer_norm,
     row_softmax,
 )
-from .vit import AttentionOutput, ModelConfig, ffn, mhsa, patch_embed
+from .vit import AttentionOutput, ModelConfig, ffn, ffn_flops, mhsa, patch_embed
 
 __version__ = "0.1.0"
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import harness, images, modelio
 from .engine import forward
-from .sata import ffn_flops
 from .vit import ModelConfig
 
 
@@ -33,14 +32,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _add_stage_flags(p: argparse.ArgumentParser):
+    p.add_argument("--alpha", type=float, default=None, help="override band scale")
+    p.add_argument("--gamma", type=float, default=None, help="override stage start fraction")
+    p.add_argument("--no-sata", action="store_true", help="disable the token stage entirely")
+
+
 def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--model", required=True, help="model path stem (manifest + weights)")
     p.add_argument("--seed", type=int, default=0, help="seed for synthetic inputs")
-    p.add_argument("--alpha", type=float, default=None, help="override band scale")
-    p.add_argument("--gamma", type=float, default=None, help="override stage start fraction")
-    p.add_argument(
-        "--no-sata", action="store_true", help="disable the token stage entirely"
-    )
+    _add_stage_flags(p)
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     p.add_argument(
         "--image",
@@ -59,9 +60,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True, help="output path stem")
     p.add_argument("--config", default=None, help="JSON model config file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--no-sata", action="store_true")
+    _add_stage_flags(p)
 
     p = sub.add_parser("forward", help="classify one image, print logits")
     _add_run_flags(p)
@@ -144,9 +143,8 @@ def _cmd_init(args) -> int:
     else:
         cfg = ModelConfig()
     model = modelio.random_init(_overrides(cfg, args), args.seed)
-    modelio.save_model(model, args.model)
-    print(f"wrote {args.model}.manifest.json / {args.model}.weights.bin "
-          f"(checksum {modelio.model_checksum(model)})")
+    checksum = modelio.save_model(model, args.model)
+    print(f"wrote {args.model}.manifest.json / {args.model}.weights.bin (checksum {checksum})")
     return 0
 
 
@@ -190,8 +188,7 @@ def _cmd_stability(args) -> int:
             seed=args.seed,
         )
         records = harness.stability_report(model, image, spec, cfg=cfg)
-    rows = [[r.block_index, r.delta_attention, r.delta_sata] for r in records]
-    _emit(args.out, harness.STABILITY_HEADER, rows)
+    _emit(args.out, harness.STABILITY_HEADER, records)
     return 0
 
 
@@ -204,8 +201,7 @@ def _cmd_sweep(args) -> int:
         raise UsageError("--values is empty")
     model, cfg = _load_run(args)
     records = harness.sweep(model, _load_images(args, cfg), args.param, values, cfg=cfg)
-    rows = [[r.value, r.total_flops, r.logit_drift] for r in records]
-    _emit(args.out, harness.SWEEP_HEADER, rows)
+    _emit(args.out, harness.SWEEP_HEADER, records)
     return 0
 
 
@@ -216,7 +212,7 @@ def _cmd_flops(args) -> int:
     rows = [[tr.block_index, tr.ffn_tokens, tr.ffn_flops] for tr in traces]
     total = sum(tr.ffn_flops for tr in traces)
     # with the stage off every block runs the full FFN on all tokens
-    vanilla = cfg.depth * ffn_flops(cfg.num_tokens, cfg.dim, cfg.hidden)
+    vanilla = cfg.depth * cfg.block_ffn_flops
     _emit(args.out, ["block", "ffn_tokens", "ffn_flops"], rows)
     print(f"ffn_flops_total: {total}", file=sys.stderr)
     print(f"ffn_flops_vanilla: {vanilla}", file=sys.stderr)

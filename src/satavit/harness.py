@@ -6,25 +6,26 @@ the class-token attention row and the spatial score vector), per-block
 score statistics with band bounds and FFN load, and alpha/gamma sweeps
 reporting FLOPs against logit drift.
 
-Reports return records or rows and write nothing; ``write_csv`` and
-``render_csv`` turn rows into CSV, deterministic given seeds: UTF-8,
-LF line endings, floats formatted with %.9g, integers bare.  A
-report's forwards are independent.  ``parallel.stacks`` splits its
-images into stacks, one ``engine.forward_batch`` each (one image per
-stack on a model large enough for the thread pool, many below that),
-and ``parallel.run`` runs the stacks on the calling thread and the pool
-where that pays (see ``parallel.workers``) and returns them in order,
-so every reduction sums in the serial order and the CSVs depend on
-neither.  Each stack's blocks score and band all its images in one
-call (see ``sata.sata_stage``).  The stability report then compares
-every block of every corrupted forward with the clean one in one
-``cosine_similarity`` call over row stacks, and the stats report
-pools all images' scores into one histogram per block.
+Reports return rows (records are named tuples in CSV column order) and
+write nothing; ``write_csv`` and ``render_csv`` take them as they are,
+deterministic given seeds: UTF-8, LF line endings, floats formatted
+with %.9g, integers bare.  A report's forwards are independent.
+``parallel.stacks`` splits its images into stacks, one
+``engine.forward_batch`` each (one image per stack on a model large
+enough for the thread pool, many below that), and ``parallel.run`` runs
+the stacks on the calling thread and the pool where that pays (see
+``parallel.workers``) and returns them in order, so every reduction
+sums in the serial order and the CSVs depend on neither.  Each stack's
+blocks score and band all its images in one call (see
+``sata.sata_stage``).  The stability report then compares every block
+of every corrupted forward with the clean one in one
+``cosine_similarity`` call over row stacks, and the stats report pools
+all images' scores into one histogram per block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,8 +96,9 @@ def write_csv(path, header, rows) -> None:
 # stability
 
 
-@dataclass(frozen=True)
-class StabilityRecord:
+class StabilityRecord(NamedTuple):
+    """One block's clean-vs-corrupted cosines, a row of ``STABILITY_HEADER``."""
+
     block_index: int
     delta_attention: float
     delta_sata: float
@@ -226,9 +228,8 @@ def stats_report(model: Model, images, cfg: ModelConfig | None = None) -> list[l
 # parameter sweeps
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One swept value with its per-image mean FFN FLOPs and logit drift."""
+class SweepRecord(NamedTuple):
+    """One swept value's per-image mean FFN FLOPs and logit drift, a ``SWEEP_HEADER`` row."""
 
     value: float
     total_flops: float
@@ -484,11 +485,7 @@ _SELFTEST_CHECKS = [
 def selftest(seed: int = 0) -> tuple[list[list], bool]:
     """Run the built-in oracle suites; returns (rows, all_passed)."""
     rows = []
-    all_ok = True
     for i, (name, fn, cases, tol) in enumerate(_SELFTEST_CHECKS):
-        gen = SplitMix64(seed).spawn(i)
-        err = fn(gen, cases)
-        ok = err <= tol
-        all_ok &= ok
-        rows.append([name, cases, err, "pass" if ok else "fail"])
-    return rows, all_ok
+        err = fn(SplitMix64(seed).spawn(i), cases)
+        rows.append([name, cases, err, "pass" if err <= tol else "fail"])
+    return rows, all(row[-1] == "pass" for row in rows)

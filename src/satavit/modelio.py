@@ -185,8 +185,8 @@ def _resolve_stem(path) -> Path:
     return p
 
 
-def save_model(model: Model, path) -> None:
-    """Write ``<stem>.manifest.json`` and ``<stem>.weights.bin``."""
+def save_model(model: Model, path) -> str:
+    """Write ``<stem>.manifest.json`` and ``<stem>.weights.bin``; return the checksum."""
     stem = _resolve_stem(path)
     blob, table = _blob_bytes(model)
     manifest = {
@@ -202,6 +202,7 @@ def save_model(model: Model, path) -> None:
         )
     except OSError as exc:
         raise OSError(f"failed to save model at {stem}: {exc}") from exc
+    return manifest["checksum"]
 
 
 def _is_int(v) -> bool:

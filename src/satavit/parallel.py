@@ -81,18 +81,17 @@ def workers(cfg, min_ffn_flops: int = _POOL_MIN_FFN_FLOPS) -> int:
     Numpy GEMMs and the elementwise kernels release the GIL, so work
     overlaps on several cores, but only if BLAS runs each call on the
     calling thread (otherwise the threads oversubscribe the CPUs) and a
-    block's FFN has at least ``min_ffn_flops``, so that the work is not
-    mostly Python under the GIL.  Whole forwards pay from
+    block's full FFN, ``cfg.block_ffn_flops``, has at least
+    ``min_ffn_flops``, so that the work is not mostly Python under the
+    GIL.  Whole forwards pay from
     ``_POOL_MIN_FFN_FLOPS``; lanes from ``_LANE_MIN_FFN_FLOPS``, the
     smallest measured size where they won at least 9 of 10 pairs.  A
     join itself is cheap (an empty two-item :func:`run` takes about
     20 us), but below that size lanes lost, or won too few pairs to
     tell from the spread between runs.
     """
-    from .sata import ffn_flops  # sata imports vit, which imports this module
-
     blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
-    if blas != "1" or ffn_flops(cfg.num_tokens, cfg.dim, cfg.hidden) < min_ffn_flops:
+    if blas != "1" or cfg.block_ffn_flops < min_ffn_flops:
         return 1
     return _cpus()
 
@@ -163,10 +162,8 @@ def stacks(cfg, count: int) -> list[slice]:
     differ by at most 1.  Lanes start above the pool floor, so they
     never split a stack.
     """
-    from .sata import ffn_flops  # sata imports vit, which imports this module
-
     size = 1
-    if ffn_flops(cfg.num_tokens, cfg.dim, cfg.hidden) < _POOL_MIN_FFN_FLOPS:
+    if cfg.block_ffn_flops < _POOL_MIN_FFN_FLOPS:
         size = max(1, _STACK_MAX_MAP_ENTRIES // (cfg.heads * cfg.num_tokens**2))
     return _split(count, -(-count // size)) if count else []
 

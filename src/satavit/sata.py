@@ -24,7 +24,7 @@ import numpy as np
 from .moran import SpatialScores, spatial_scores
 from .parallel import SERIAL, Lanes
 from .tensorops import as_matrices, as_matrix
-from .vit import AttentionOutput, FfnWeights, ModelConfig, ffn
+from .vit import AttentionOutput, FfnWeights, ModelConfig, ffn, ffn_flops
 
 __all__ = [
     "SplitResult",
@@ -33,7 +33,6 @@ __all__ = [
     "split_tokens",
     "bipartite_match",
     "sata_stage",
-    "ffn_flops",
 ]
 
 
@@ -75,7 +74,8 @@ class MergePlan:
 class BlockTrace:
     """Per-block record of split sizes, FFN load and, with ``trace_scores``, scores.
 
-    The split sizes, FFN load and residual indices are always there.
+    The split sizes, FFN load and residual indices are always there
+    (``n_residual`` is read from ``residual_indices``).
     The score fields (``scores``, the stage's own :class:`SpatialScores`,
     the band ``bounds`` and ``cls_attention``) are filled only with
     ``trace_scores=True`` and are ``None`` otherwise, in every block;
@@ -91,13 +91,16 @@ class BlockTrace:
     n_a: int
     n_b: int
     n_groups: int
-    n_residual: int
     ffn_tokens: int
     ffn_flops: int
     residual_indices: np.ndarray
     scores: Optional[SpatialScores] = None
     bounds: Optional[tuple[float, float]] = None
     cls_attention: Optional[np.ndarray] = None
+
+    @property
+    def n_residual(self) -> int:
+        return self.residual_indices.size
 
 
 def split_tokens(
@@ -213,18 +216,6 @@ def bipartite_match(set_a, features) -> MergePlan:
     )
 
 
-def ffn_flops(n_tokens: int, d: int, hidden: int) -> int:
-    """FLOPs of the two FFN linear layers, multiply-accumulate counted as 2.
-
-    Biases and the GELU are excluded from the count.
-    """
-    if n_tokens < 0:
-        raise ValueError(f"token count must be non-negative, got {n_tokens}")
-    if d < 1 or hidden < 1:
-        raise ValueError(f"dimensions must be positive, got d={d} hidden={hidden}")
-    return 2 * n_tokens * (d * hidden + hidden * d)
-
-
 def sata_stage(
     attn: AttentionOutput,
     cfg: ModelConfig,
@@ -297,8 +288,8 @@ def sata_stage(
         scored = [(None, None, None)] * images
     hidden = ffn_weights.w1.shape[1]
     traces = [
-        BlockTrace(block_index, n_a, n_b, n_groups, residuals.size, n_tokens,
-                   ffn_flops(n_tokens, d, hidden), residuals, *fields)
+        BlockTrace(block_index, n_a, n_b, n_groups, n_tokens, ffn_flops(n_tokens, d, hidden),
+                   residuals, *fields)
         for (n_a, n_b, n_groups, n_tokens, residuals), fields in zip(counts, scored)
     ]
     return (out[0], traces[0]) if single else (out, traces)

@@ -26,6 +26,7 @@ __all__ = [
     "patch_embed",
     "mhsa",
     "ffn",
+    "ffn_flops",
 ]
 
 _INT_FIELDS = ("depth", "dim", "heads", "patch", "image", "num_classes", "channels")
@@ -155,6 +156,11 @@ class ModelConfig:
     def num_tokens(self) -> int:
         """Patch tokens plus the class token."""
         return self.num_patches + 1
+
+    @property
+    def block_ffn_flops(self) -> int:
+        """A block's full FFN on every token: ``ffn_flops(num_tokens, dim, hidden)``."""
+        return ffn_flops(self.num_tokens, self.dim, self.hidden)
 
     @property
     def sata_start_block(self) -> int:
@@ -358,3 +364,15 @@ def ffn(x, w: FfnWeights, lanes: Lanes = SERIAL) -> np.ndarray:
 
     run(ffn_rows, lanes.rows(n, d, w.w1.shape[1]), lanes.count)
     return out
+
+
+def ffn_flops(n_tokens: int, d: int, hidden: int) -> int:
+    """FLOPs of the two FFN linear layers, multiply-accumulate counted as 2.
+
+    Biases and the GELU are excluded from the count.
+    """
+    if n_tokens < 0:
+        raise ValueError(f"token count must be non-negative, got {n_tokens}")
+    if d < 1 or hidden < 1:
+        raise ValueError(f"dimensions must be positive, got d={d} hidden={hidden}")
+    return 2 * n_tokens * (d * hidden + hidden * d)

@@ -11,6 +11,7 @@ from satavit import (
     forward,
     harness,
     load_model,
+    modelio,
     parallel,
     random_image,
     random_init,
@@ -224,6 +225,24 @@ class TestSubcommands:
         assert res.returncode == 0
         assert res.stdout.startswith("check,cases,max_abs_error,status")
         assert "fail" not in res.stdout
+
+    def test_init_builds_and_hashes_the_blob_once(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        blob_bytes = modelio._blob_bytes
+        monkeypatch.setattr(modelio, "_blob_bytes", lambda m: calls.append(1) or blob_bytes(m))
+        stem = tmp_path / "m"
+        code, out, _ = main_in_process(capsys, "init", "--model", stem, "--seed", 3)
+        assert code == 0 and len(calls) == 1
+        checksum = json.loads((tmp_path / "m.manifest.json").read_text())["checksum"]
+        assert out == (f"wrote {stem}.manifest.json / {stem}.weights.bin "
+                       f"(checksum {checksum})\n")
+
+    def test_init_help_names_the_stage_flags(self, capsys):
+        code, out, _ = main_in_process(capsys, "init", "--help")
+        assert code == 0
+        for text in ("override band scale", "override stage start fraction",
+                     "disable the token stage entirely"):
+            assert text in out
 
     def test_init_gamma_alpha_overrides(self, tmp_path):
         stem = tmp_path / "m2"

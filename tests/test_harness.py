@@ -11,6 +11,8 @@ from satavit.harness import (
     STABILITY_HEADER,
     STATS_HEADER,
     SWEEP_HEADER,
+    StabilityRecord,
+    SweepRecord,
     averaged_stability_report,
     render_csv,
     selftest,
@@ -508,6 +510,30 @@ class TestSweep:
     def test_bad_param_rejected(self, model, image):
         with pytest.raises(ValueError):
             sweep(model, [image], "beta", [1.0])
+
+
+class TestRecordsAreRows:
+    """A report's records go to the CSV writers as they are, byte-equal to
+    the explicit rows the benchmark builds from their attributes."""
+
+    def test_stability_records(self, model, image, tmp_path):
+        records = averaged_stability_report(model, image, seed=6)
+        rows = [[r.block_index, r.delta_attention, r.delta_sata] for r in records]
+        assert render_csv(STABILITY_HEADER, records) == render_csv(STABILITY_HEADER, rows)
+        write_csv(tmp_path / "records.csv", STABILITY_HEADER, records)
+        write_csv(tmp_path / "rows.csv", STABILITY_HEADER, rows)
+        assert (tmp_path / "records.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_sweep_records(self, model, image):
+        records = sweep(model, [image], "gamma", [0.0, 0.5, 1.0])
+        rows = [[r.value, r.total_flops, r.logit_drift] for r in records]
+        assert render_csv(SWEEP_HEADER, records) == render_csv(SWEEP_HEADER, rows)
+
+    def test_fields_are_the_header_columns_in_order(self):
+        assert StabilityRecord._fields == ("block_index", "delta_attention", "delta_sata")
+        assert SweepRecord._fields == ("value", "total_flops", "logit_drift")
+        assert render_csv(STABILITY_HEADER, [StabilityRecord(3, -0.0, 0.25)]) == (
+            "block,delta_attention,delta_sata\n3,-0,0.25\n")
 
 
 class TestSelftest:

@@ -1,6 +1,6 @@
 """Library names looked up from outside a module resolve: the globals the
-benchmark's traced run wraps, and every ``__all__``; and no module
-imports a name it never uses."""
+benchmark's traced run wraps, and every ``__all__``; no module imports a
+name it never uses; and every import is at module level."""
 
 import ast
 import importlib
@@ -74,3 +74,17 @@ def test_no_module_imports_a_name_it_never_uses():
             if name not in used | exported | wrapped
         ]
     assert unused == []
+
+
+def test_no_import_inside_a_function():
+    """Imports inside a function would hide a cycle between the modules;
+    every import is made once, when its module loads."""
+    nested = {
+        f"{path.stem}.py:{node.lineno}"
+        for path in SRC.glob("*.py")
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    assert sorted(nested) == []

@@ -226,6 +226,17 @@ class TestModelConfig:
     def test_num_weights_counts_the_schema(self, cfg):
         assert cfg.num_weights == sum(math.prod(shape) for _, shape in tensor_schema(cfg))
 
+    @pytest.mark.parametrize("cfg", [  # the benchmark's ViT-S, 8x32 and ViT-Ti shapes
+        ModelConfig(depth=12, dim=384, heads=6, patch=16, image=224, channels=3),
+        ModelConfig(depth=8, dim=32, heads=4, patch=4, image=16, channels=1),
+        ModelConfig(depth=12, dim=192, heads=3, patch=16, image=224, channels=3),
+    ])
+    def test_block_ffn_flops_is_the_full_ffn(self, cfg):
+        assert cfg.block_ffn_flops == ffn_flops(cfg.num_tokens, cfg.dim, cfg.hidden)
+        assert cfg.block_ffn_flops == vit.ffn_flops(cfg.num_tokens, cfg.dim, cfg.hidden)
+        with pytest.raises(AttributeError):
+            cfg.block_ffn_flops = 0  # derived from the fields, not a setting
+
     def test_weight_cap_is_inclusive(self):
         base = ModelConfig(num_classes=1)
         most = 1 + (MAX_WEIGHTS - base.num_weights) // (base.dim + 1)
