@@ -80,7 +80,7 @@ def run_blocks(
     ``trace_scores`` (see :class:`~satavit.sata.BlockTrace`).  For a
     stack of streams, (B, n, d), it returns the stack and one such list
     of traces per image.  ``cfg``
-    must match ``model.config`` in every architecture field.  The stream
+    must match ``model.config`` in every ``ModelConfig.ARCHITECTURE_FIELDS``.  The stream
     is never modified in place, so a caller may keep it and resume from
     it.  The blocks run on ``parallel.lanes(cfg)``, decided once per
     call.  Each block checks its attention output and its own output
@@ -94,8 +94,8 @@ def run_blocks(
     and ``mhsa(x, model.blocks[i][0], cfg.heads).features`` the pre-FFN
     stream the stage reads.
     """
-    arch = ("depth", "dim", "heads", "ffn_ratio", "patch", "image", "num_classes", "channels")
-    differ = [f for f in arch if getattr(cfg, f) != getattr(model.config, f)]
+    differ = [f for f in ModelConfig.ARCHITECTURE_FIELDS
+              if getattr(cfg, f) != getattr(model.config, f)]
     if differ:
         raise ValueError(f"config does not match the model's weights in {', '.join(differ)}")
     if not 0 <= first <= stop <= cfg.depth:

@@ -18,7 +18,7 @@ and no pool thread waits on work queued behind it.
 
 Every partition is fixed by the sizes alone and every part writes its
 own rows or heads, so results do not depend on the thread count (see
-:meth:`Lanes._chunks` for the one condition that needs).
+:func:`blocked_lines` for the one condition that needs).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["workers", "run", "stacks", "Lanes", "SERIAL", "lanes"]
+__all__ = ["workers", "run", "stacks", "blocked_lines", "Lanes", "SERIAL", "lanes"]
 
 # 2-thread/serial time, averaged report, 2 CPUs: 1.28x at 9.6M (d96), 0.84-1.15x at 17M (d128)
 _POOL_MIN_FFN_FLOPS = 10_000_000
@@ -168,6 +168,20 @@ def stacks(cfg, count: int) -> list[slice]:
     return _split(count, -(-count // size)) if count else []
 
 
+def blocked_lines(mk: int) -> int:
+    """The fewest product lines (rows or columns) of a double GEMM against
+    the other two GEMM sizes ``mk`` that OpenBLAS runs on its blocked
+    kernel: more than ``_SMALL_GEMM_MNK`` in all and at least 2 (1 line
+    takes the matrix-vector path).
+
+    Two products that share lines give those lines the same bits only
+    while BLAS picks the same kernel for both: both at least this many
+    lines, or both fewer and at least 2.  Lane chunks and the stage's
+    padded reduced-FFN stacks keep to it.
+    """
+    return max(2, _SMALL_GEMM_MNK // mk + 1)
+
+
 def _split(n: int, parts: int) -> list[slice]:
     """``range(n)`` cut into ``parts`` contiguous slices whose sizes differ by at most 1."""
     bounds = [n * j // parts for j in range(parts + 1)]
@@ -196,15 +210,12 @@ class Lanes:
 
         A chunk's product is bitwise the matching lines of the whole
         product only while BLAS picks the same kernel for both, so every
-        chunk keeps its share of the product above OpenBLAS's
-        small-matrix ceiling and at least 2 lines (1 line takes the
-        matrix-vector path); work too small for two such chunks stays
-        whole.
+        chunk keeps at least :func:`blocked_lines` lines; work too small
+        for two such chunks stays whole.
         """
         if self.count == 1:
             return [slice(0, units)]
-        min_lines = max(2, _SMALL_GEMM_MNK // mk + 1)
-        min_units = -(-min_lines // lines)
+        min_units = -(-blocked_lines(mk) // lines)
         return _split(units, max(1, min(self.count, units // min_units)))
 
 

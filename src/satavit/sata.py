@@ -12,18 +12,22 @@ for the FFN; unconnected targets skip the FFN entirely.  After the FFN
 every original token position is restored: band tokens get their own
 delta, merged-group members share their group's delta, residuals pass
 through unchanged.
+
+A stack of images runs through a block at once, each image's slice
+bitwise what it gives alone: one score and band compare, one match, one
+reduced-FFN call per BLAS kernel side and one restore.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .moran import SpatialScores, spatial_scores
-from .parallel import SERIAL, Lanes
-from .tensorops import as_matrices, as_matrix
+from .parallel import SERIAL, Lanes, blocked_lines
+from .tensorops import as_matrices
 from .vit import AttentionOutput, FfnWeights, ModelConfig, ffn, ffn_flops
 
 __all__ = [
@@ -36,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SplitResult:
     """Partition of patch-token indices into in-band and out-of-band sets."""
 
@@ -115,31 +119,34 @@ def split_tokens(
     one ``SplitResult`` per image, the bounds and membership of all of
     them from one vectorised compare.  The one image is the stack of one.
     """
+    stacked = not isinstance(scores, SpatialScores)
+    inside, lower, upper = _band(scores if stacked else [scores], alpha)
+    splits = [SplitResult(inside=row, lower=lo, upper=up)
+              for row, lo, up in zip(inside, lower, upper)]
+    return splits if stacked else splits[0]
+
+
+def _band(scores: list[SpatialScores], alpha: float) -> tuple[np.ndarray, list, list]:
+    """The in-band mask, (B, n), and the lower and upper bounds of each image's band."""
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    stacked = not isinstance(scores, SpatialScores)
-    rows = scores if stacked else [scores]
-    mean = np.array([sc.mean_s for sc in rows])
-    half = np.array([sc.abs_median_s for sc in rows])
+    mean = np.array([sc.mean_s for sc in scores])
+    half = np.array([sc.abs_median_s for sc in scores])
     lower = alpha * (mean - half)
     upper = alpha * (mean + half)
-    s = np.array([sc.s for sc in rows])
+    s = np.array([sc.s for sc in scores])
     inside = s >= lower[:, None]
     inside &= s <= upper[:, None]
-    splits = [
-        SplitResult(inside=row, lower=lo, upper=up)
-        for row, lo, up in zip(inside, lower.tolist(), upper.tolist())
-    ]
-    return splits if stacked else splits[0]
+    return inside, lower.tolist(), upper.tolist()
 
 
 def _unit_rows(f: np.ndarray) -> np.ndarray:
     # np.linalg.norm(f, axis=1, keepdims=True) computes exactly this
     norms = np.sqrt(np.add.reduce(f * f, axis=1, keepdims=True))
-    return np.divide(f, norms, out=np.zeros_like(f), where=norms > 0)
+    return np.divide(f, norms, out=np.zeros(f.shape), where=norms > 0)
 
 
-def bipartite_match(set_a, features) -> MergePlan:
+def bipartite_match(set_a, features) -> MergePlan | list[MergePlan]:
     """One-edge-per-source matching between alternating halves of set_a.
 
     Sources are the even positions of set_a's order, targets the odd
@@ -150,70 +157,150 @@ def bipartite_match(set_a, features) -> MergePlan:
     Targets without edges become residuals.
     A set with fewer than two members yields an empty plan, the lone
     member (if any) turning residual.
+
+    One image's ``set_a`` and features, (n, d), give its
+    :class:`MergePlan`.  A list of sets, one per image, with a stack of
+    features, (B, n, d), gives one ``MergePlan`` per image, each bitwise
+    what the image gives alone, from one matching of the whole stack;
+    the one image is the stack of one.
     """
-    set_a = np.asarray(set_a, dtype=np.int64).ravel()
-    features = as_matrix(features)
+    features = as_matrices(features)
+    stacked = features.ndim == 3
+    feats = features if stacked else features[None]
+    sets = [np.asarray(a, dtype=np.int64).ravel() for a in (set_a if stacked else [set_a])]
+    images, n, d = feats.shape
+    if len(sets) != images:
+        raise ValueError(f"{len(sets)} token sets for a stack of {images} images")
+    img = np.repeat(np.arange(images), [a.size for a in sets])
+    plan = _match(feats.reshape(-1, d), np.concatenate(sets) + n * img, img, images)
 
-    if set_a.size <= 1:
+    def tokens(rows):  # flat rows -> each image's token indices
+        owner = rows // n
+        return _by_image(rows - n * owner, np.bincount(owner, minlength=images))
+
+    groups = np.bincount(plan.group_images, minlength=images)
+    plans = [
+        MergePlan(edges=dict(zip(src.tolist(), tgt.tolist())), members=members,
+                  group_sizes=sizes, representatives=reps, residuals=residuals)
+        for src, tgt, members, sizes, reps, residuals in zip(
+            tokens(plan.sources), tokens(plan.targets), tokens(plan.members),
+            _by_image(plan.group_sizes, groups), _by_image(plan.representatives, groups),
+            tokens(plan.residuals))
+    ]
+    return plans if stacked else plans[0]
+
+
+class _Plan(NamedTuple):
+    """A stack's matching over flat feature rows, image by image in order."""
+
+    sources: np.ndarray  # even positions of each image's set
+    targets: np.ndarray  # each source's target
+    members: np.ndarray  # merged rows by group (ascending target), ascending within
+    group_sizes: np.ndarray
+    group_images: np.ndarray
+    representatives: np.ndarray  # (groups, d)
+    residuals: np.ndarray  # targets with no incoming edge
+    residual_images: np.ndarray
+
+
+def _match(feats: np.ndarray, rows: np.ndarray, img: np.ndarray, images: int) -> _Plan:
+    """:func:`bipartite_match` of every image of a stack at once.
+
+    ``feats`` holds the rows of all images, (R, d); ``rows`` lists each
+    image's set in its order, image after image, and ``img`` the image
+    of each entry.  Each image's results are bitwise its own: the
+    unit rows and the zero-row flags are per row, each image's
+    similarity GEMM has its own shape, written into a padded buffer
+    whose padding (-inf) never wins the ``argmax``, and every group
+    sums its own members from +0.0 in member order.
+    """
+    n_a = np.bincount(img, minlength=images)
+    start = np.add.accumulate(n_a)
+    start -= n_a
+    half, odd = np.divmod(np.arange(rows.size) - start[img], 2)  # slot in the image's half
+    # even positions are sources, odd ones targets; a lone member is a target
+    is_target = odd == 1
+    lone = n_a == 1
+    if np.logical_or.reduce(lone):
+        is_target |= lone[img]
+    src, tgt = (~is_target).nonzero()[0], is_target.nonzero()[0]
+    src_rows, tgt_rows = rows[src], rows[tgt]
+    if not src.size:
         none = np.empty(0, dtype=np.int64)
-        return MergePlan(
-            edges={},
-            members=none,
-            group_sizes=none,
-            representatives=np.zeros((0, features.shape[1])),
-            residuals=set_a.copy(),
-        )
-
-    a1 = set_a[0::2]
-    a2 = set_a[1::2]
-    f1 = features[a1]
-    f2 = features[a2]
-    sim = _unit_rows(f1) @ _unit_rows(f2).T
-    # all-zero rows have unit 0; a zero source against a zero target
-    # counts as identical (similarity 1), matching the package-wide
-    # cosine convention.  Exact zeros: a row whose norm underflows to 0
-    # is no zero row.  (The ufunc reductions np.all and ndarray.any run,
-    # without their Python wrappers.)
-    zero1 = np.logical_and.reduce(f1 == 0.0, axis=1)
-    zero2 = np.logical_and.reduce(f2 == 0.0, axis=1)
+        return _Plan(none, none, none, none, none, np.zeros((0, feats.shape[1])), tgt_rows,
+                     img[tgt])
+    src_img, slot = img[src], half[src]
+    k1 = np.bincount(src_img, minlength=images)
+    k2 = (n_a - k1).tolist()
+    k1 = k1.tolist()
+    f = feats[np.concatenate([src_rows, tgt_rows])]
+    u = _unit_rows(f)
+    u1, u2 = u[: src.size], u[src.size :]
+    sim = np.empty((images, max(k1), max(k2)))
+    sim.fill(-np.inf)
+    s1 = s2 = 0
+    for b, (m, k) in enumerate(zip(k1, k2)):
+        if m:
+            np.matmul(u1[s1 : s1 + m], u2[s2 : s2 + k].T, out=sim[b, :m, :k])
+        s1 += m
+        s2 += k
+    # all-zero rows have unit 0; a zero source against a zero target of
+    # its image counts as identical (similarity 1), matching the
+    # package-wide cosine convention.  Exact zeros: a row whose norm
+    # underflows to 0 is no zero row.  (The ufunc reductions np.all and
+    # ndarray.any run, without their Python wrappers.)
+    zero = np.logical_and.reduce(f == 0.0, axis=1)
+    zero1, zero2 = zero[: src.size], zero[src.size :]
     if np.logical_or.reduce(zero1) and np.logical_or.reduce(zero2):
-        sim[np.ix_(zero1, zero2)] = 1.0
+        zero_src = np.zeros(sim.shape[:2], dtype=bool)
+        zero_src[src_img, slot] = zero1
+        zero_tgt = np.zeros((images, sim.shape[2]), dtype=bool)
+        zero_tgt[img[tgt], half[tgt]] = zero2
+        sim[zero_src[:, :, None] & zero_tgt[:, None, :]] = 1.0
 
-    # argmax returns the first maximum; a2 is ascending, so ties resolve
-    # to the lowest token index
-    choice = sim.argmax(axis=1)
-    edges = dict(zip(a1.tolist(), a2[choice].tolist()))
+    # argmax returns the first maximum; targets are in set order, so ties
+    # resolve to the lowest token index.  picked: each source's target as
+    # a position among all targets, which run image after image
+    first_target = np.add.accumulate(k2)
+    first_target -= k2
+    picked = first_target[src_img] + sim.argmax(axis=2)[src_img, slot]
+    hit = np.zeros(tgt.size, dtype=bool)
+    hit[picked] = True
+    # every member keyed by its target's position: the image leads, then
+    # the target, then the member's own row
+    keys = np.concatenate([hit.nonzero()[0], picked])
+    members = np.concatenate([tgt_rows[hit], src_rows])
+    members = members[np.lexsort((members, keys))]
+    group_sizes = np.bincount(picked, minlength=tgt.size)[hit] + 1
 
-    hit = np.zeros(a2.size, dtype=bool)
-    hit[choice] = True
-    # every member keyed by its target's position in a2: ascending a2
-    # positions are ascending group targets
-    keys = np.concatenate([hit.nonzero()[0], choice])
-    tokens = np.concatenate([a2[hit], a1])
-    members = tokens[np.lexsort((tokens, keys))]
-    group_sizes = np.bincount(choice, minlength=a2.size)[hit] + 1
-
-    # summed in member order from +0.0, one member rank of every group per
-    # pass, then divided: bitwise equal to features[group].mean(axis=0)
-    # (np.add.reduceat is not).  Largest groups first: the groups with a
-    # member of rank r are then the first longer[r]
+    # summed in member order from +0.0, one member rank of every group of
+    # every image per pass, then divided: bitwise equal to
+    # feats[group].mean(axis=0) (np.add.reduceat is not).  Largest groups
+    # first: the groups with a member of rank r are then the first
+    # longer[r], and their rows of that rank the next longer[r] rows of
+    # by_rank
     order = (-group_sizes).argsort(kind="stable")
     first = (np.add.accumulate(group_sizes) - group_sizes)[order]
     longer = np.add.accumulate(np.bincount(group_sizes)[::-1])[::-1][1:]
-    sums = np.zeros((group_sizes.size, features.shape[1]))
-    for rank, live in enumerate(longer.tolist()):
-        sums[:live] += features[members[first[:live] + rank]]
+    rank = np.arange(longer.size)[:, None]
+    by_rank = feats[members[(first + rank)[rank < group_sizes[order]]]]
+    sums = np.zeros((group_sizes.size, feats.shape[1]))
+    at = 0
+    for live in longer.tolist():
+        sums[:live] += by_rank[at : at + live]
+        at += live
     reps = np.empty_like(sums)
     reps[order] = sums
     reps /= group_sizes[:, None]
+    tgt_img, miss = img[tgt], ~hit
+    return _Plan(src_rows, tgt_rows[picked], members, group_sizes, tgt_img[hit], reps,
+                 tgt_rows[miss], tgt_img[miss])
 
-    return MergePlan(
-        edges=edges,
-        members=members,
-        group_sizes=group_sizes,
-        representatives=reps,
-        residuals=a2[~hit],
-    )
+
+def _by_image(values: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """``values``, image after image, cut into one slice per image of ``counts`` entries."""
+    bounds = [0, *np.add.accumulate(counts).tolist()]
+    return [values[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def sata_stage(
@@ -241,10 +328,18 @@ def sata_stage(
     (``n_a=0``, ``n_b=N-1``, no groups, no residuals, ``ffn_tokens=N``).
 
     A merging block, and with ``trace_scores`` every block, scores and
-    bands the whole stack at once: one ``spatial_scores`` and one
-    ``split_tokens`` call.  A merging block's token sets differ per
-    image, so only the match, the reduced FFN and the restore run image
-    by image.  The FFN runs on ``lanes``.
+    bands the whole stack at once.  A merging block then matches the
+    out-of-band tokens of every image in one call (only the similarity
+    GEMMs run image by image, each at its own shape), runs the reduced
+    FFN for the whole stack and adds every delta back by flat row
+    indices.  A stack of one runs its reduced token set as it is; a
+    larger stack pads each image's set with zero rows to the longest.
+    Padding keeps an image's bits only while its own and the padded row
+    count use the same BLAS kernel
+    (:func:`~satavit.parallel.blocked_lines`), so the images run in one
+    padded stack per kernel side: one ``ffn`` call per side.  The FFN
+    runs on ``lanes``.  A trace counts each image's own tokens, never
+    padding rows.
 
     With ``trace_scores`` every trace carries the scores, bounds and
     class-token attention row; a pass-through block reports its real
@@ -265,50 +360,85 @@ def sata_stage(
         )
 
     merge = cfg.sata_enabled and block_index >= cfg.sata_start_block
-    if merge:
-        out = x.copy()
-    else:
-        out = ffn(x, ffn_weights, lanes)
-        out += x
+    hidden = ffn_weights.w1.shape[1]
     if merge or trace_scores:
         scores = spatial_scores(x[:, 1:], maps[:, 1:, 1:])
-        splits = split_tokens(scores, cfg.alpha)
+        inside, lower, upper = _band(scores, cfg.alpha)
     if merge:
-        counts = [_merge_image(x[b], out[b], split, ffn_weights, lanes)
-                  for b, split in enumerate(splits)]
+        out, counts = _merge(x, inside, ffn_weights, lanes)
     else:  # the full FFN and an empty out-of-band set in each image
-        counts = [(0, n_all - 1, 0, n_all, np.empty(0, dtype=np.int64))] * images
+        out = ffn(x, ffn_weights, lanes)
+        out += x
+        counts = [(n_all, 0, np.empty(0, dtype=np.int64))] * images
     if trace_scores:
         # one copy for the stack: a view would keep the block's mean maps
         # alive, and the averaged ViT-Ti stability report then peaked at
         # 190, not 117 MB
         cls_rows = maps[:, 0, 1:].copy()
-        scored = zip(scores, [(sp.lower, sp.upper) for sp in splits], cls_rows)
+        scored = zip(scores, zip(lower, upper), cls_rows)
     else:
         scored = [(None, None, None)] * images
-    hidden = ffn_weights.w1.shape[1]
     traces = [
-        BlockTrace(block_index, n_a, n_b, n_groups, n_tokens, ffn_flops(n_tokens, d, hidden),
-                   residuals, *fields)
-        for (n_a, n_b, n_groups, n_tokens, residuals), fields in zip(counts, scored)
+        BlockTrace(block_index, n_all - n_kept, n_kept - 1, n_groups, n_kept + n_groups,
+                   ffn_flops(n_kept + n_groups, d, hidden), residuals, *fields)
+        for (n_kept, n_groups, residuals), fields in zip(counts, scored)
     ]
     return (out[0], traces[0]) if single else (out, traces)
 
 
-def _merge_image(x, out, split: SplitResult, ffn_weights, lanes) -> tuple:
-    """One image of a merging block: match its out-of-band tokens, run the
-    reduced FFN and add each delta into ``out``, which starts as a copy
-    of ``x``.  Returns the trace's ``(n_a, n_b, n_groups, ffn_tokens,
-    residual_indices)``."""
-    patches = x[1:]
-    set_a, set_b = split.set_a, split.set_b
-    plan = bipartite_match(set_a, patches)
-    ffn_in = np.concatenate([x[:1], patches[set_b], plan.representatives], axis=0)
-    deltas = ffn(ffn_in, ffn_weights, lanes)
+def _merge(x: np.ndarray, inside: np.ndarray, ffn_weights: FfnWeights, lanes: Lanes):
+    """A merging block on a stack, (B, n, d), with its in-band patch mask,
+    (B, n - 1): the output stack and, per image, its count of rows
+    routed to the FFN as they are (the class token and the in-band
+    tokens), its group count and its residual token indices."""
+    images, n_all, d = x.shape
+    routed = np.empty((images, n_all), dtype=bool)
+    routed[:, 0] = True
+    routed[:, 1:] = inside
+    flat = x.reshape(-1, d)
+    img, col = (~routed).nonzero()
+    plan = _match(flat, n_all * img + col, img, images)
 
-    n_b = set_b.size
-    out[0] += deltas[0]
-    out[1 + set_b] += deltas[1 : 1 + n_b]
-    out[1 + plan.members] += deltas[1 + n_b :].repeat(plan.group_sizes, axis=0)
+    # each image's FFN input: its routed rows, then its groups' representatives
+    kept = routed.ravel().nonzero()[0]
+    if images == 1:  # a stack of one needs no padding
+        deltas = ffn(np.concatenate([flat[kept], plan.representatives]), ffn_weights, lanes)
+        kept_deltas, group_deltas = deltas[: kept.size], deltas[kept.size :]
+        counts = [(kept.size, plan.group_sizes.size, plan.residuals - 1)]
+    else:
+        # padded with zero rows to the longest image's; the masks pick each
+        # part, image after image
+        n_kept = np.add.reduce(routed, axis=1)
+        n_groups = np.bincount(plan.group_images, minlength=images)
+        n_rows = n_kept + n_groups
+        longest = np.maximum.reduce(n_rows)
+        line = np.arange(longest)
+        is_kept = line < n_kept[:, None]
+        is_group = line < n_rows[:, None]
+        is_group ^= is_kept
+        ffn_in = np.zeros((images, longest, d))
+        ffn_in[is_kept] = flat[kept]
+        ffn_in[is_group] = plan.representatives
+        # padding keeps an image's bits only on its own BLAS kernel side;
+        # every image has at least 2 rows (the class token and an in-band
+        # token or a group), so none takes the matrix-vector path
+        blocked = blocked_lines(d * ffn_weights.w1.shape[1])
+        if (longest >= blocked) == (np.minimum.reduce(n_rows) >= blocked):
+            deltas = ffn(ffn_in, ffn_weights, lanes)
+        else:  # one stack per side, each as long as its longest image
+            deltas = np.empty_like(ffn_in)
+            for side in (n_rows >= blocked, n_rows < blocked):
+                rows = n_rows[side].max()
+                deltas[side, :rows] = ffn(ffn_in[side, :rows], ffn_weights, lanes)
+        kept_deltas, group_deltas = deltas[is_kept], deltas[is_group]
+        owner = plan.residual_images
+        residuals = _by_image(plan.residuals - (n_all * owner + 1),
+                              np.bincount(owner, minlength=images))
+        counts = list(zip(n_kept.tolist(), n_groups.tolist(), residuals))
+
+    out = x.copy()
+    out_flat = out.reshape(-1, d)
+    out_flat[kept] += kept_deltas
+    out_flat[plan.members] += group_deltas.repeat(plan.group_sizes, axis=0)
     # residual rows stay bitwise untouched
-    return set_a.size, n_b, plan.group_sizes.size, ffn_in.shape[0], plan.residuals
+    return out, counts

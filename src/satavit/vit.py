@@ -8,8 +8,9 @@ provides the per-layer math.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from numbers import Integral, Real
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,9 +30,6 @@ __all__ = [
     "ffn_flops",
 ]
 
-_INT_FIELDS = ("depth", "dim", "heads", "patch", "image", "num_classes", "channels")
-_FLOAT_FIELDS = ("ffn_ratio", "gamma", "alpha")
-_BOOL_FIELDS = ("sata_enabled",)
 # the most float64 weights (4 GiB) a config may need: ViT-L/16 needs about 3.0e8
 MAX_WEIGHTS = 2**29
 # fields of earlier manifests, loadable only at the one value the stage now
@@ -50,7 +48,15 @@ class ModelConfig:
     ``gamma`` is the depth fraction after which the analysis stage
     activates (blocks with index >= ceil(gamma * depth), 0-based);
     ``alpha`` scales the in-band interval around the score median.
+
+    Every field is in one of two groups: ``ARCHITECTURE_FIELDS`` fix the
+    shapes of the weights, so a run config must match the model's in
+    each; ``RUN_FIELDS`` are the stage settings a run may override.
     """
+
+    ARCHITECTURE_FIELDS: ClassVar[tuple[str, ...]] = (
+        "depth", "dim", "heads", "ffn_ratio", "patch", "image", "num_classes", "channels")
+    RUN_FIELDS: ClassVar[tuple[str, ...]] = ("gamma", "alpha", "sata_enabled")
 
     depth: int = 8
     dim: int = 32
@@ -185,11 +191,17 @@ class ModelConfig:
                     f"is accepted, got {type(v).__name__} {v!r}"
                 )
         d = {k: v for k, v in d.items() if k not in _RETIRED_FIELDS}
-        known = {f for f in cls.__dataclass_fields__}
+        known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**d)
+
+
+# each field's type check, by its annotation
+_INT_FIELDS, _FLOAT_FIELDS, _BOOL_FIELDS = (
+    tuple(f.name for f in fields(ModelConfig) if f.type == kind) for kind in ("int", "float", "bool")
+)
 
 
 @dataclass(frozen=True)
@@ -327,7 +339,7 @@ def mhsa(x, w: AttnWeights, heads: int, lanes: Lanes = SERIAL) -> AttentionOutpu
     features += w.bo
     features += x
     # ndarray.mean's add.reduce and in-place divide, bitwise, without its wrapper
-    mean_attention = maps.sum(axis=-3)
+    mean_attention = np.add.reduce(maps, axis=-3)
     mean_attention /= heads
     return AttentionOutput(features=features, mean_attention=mean_attention)
 

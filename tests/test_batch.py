@@ -27,7 +27,7 @@ from satavit.harness import (
 )
 from satavit.images import random_image
 from satavit.modelio import Model
-from satavit.sata import ffn_flops, sata_stage
+from satavit.sata import bipartite_match, ffn_flops, sata_stage
 from satavit.vit import AttentionOutput
 
 from test_sata import TestLoopReferenceBitwise, make_attention
@@ -265,3 +265,52 @@ class TestReportsInStacks:
         assert set(sizes[2 * per_image]) == {1, 2}  # 21 images -> 11 stacks
         assert max(sizes[parallel._STACK_MAX_MAP_ENTRIES]) == 21
         assert csvs[0] == csvs[2 * per_image] == csvs[parallel._STACK_MAX_MAP_ENTRIES]
+
+
+def plan_bits(plan):
+    return (sorted(plan.edges.items()), plan.members.tobytes(), plan.group_sizes.tobytes(),
+            plan.representatives.tobytes(), plan.residuals.tobytes())
+
+
+class TestStackedMatch:
+    """``bipartite_match`` on a stack against one call per image, byte for byte."""
+
+    @pytest.mark.parametrize("d", [32, 192])
+    def test_each_image_is_its_own_call(self, d):
+        rng = np.random.default_rng(d)
+        n = 24
+        feats = rng.normal(size=(7, n, d))
+        feats[1, 1:] = 2.0 * feats[1, 0]  # ties
+        feats[2, [0, 3, 5, 8]] = 0.0  # zero rows
+        feats[3, :, 4] = -0.0  # an all -0.0 column
+        sets = [np.sort(rng.permutation(n)[:size]) for size in (0, 1, 8, 11, 2, 24, 5)]
+        sets[2] = np.array([0, 1, 3, 5, 6, 8, 9, 12])
+        got = bipartite_match(sets, feats)
+        assert len(got) == len(sets)
+        for b, (set_a, plan) in enumerate(zip(sets, got)):
+            assert plan_bits(plan) == plan_bits(bipartite_match(set_a, feats[b])), b
+
+
+class TestStageStraddlingTheKernelSides:
+    def test_padded_ffn_keeps_each_images_bits(self):
+        # 26 tokens, d128: 16 FFN rows and up use OpenBLAS's blocked kernel
+        cfg = ModelConfig(depth=2, dim=128, heads=4, patch=4, image=20, gamma=0.5, alpha=1.0)
+        assert cfg.block_ffn_flops < parallel._POOL_MIN_FFN_FLOPS
+        assert parallel.blocked_lines(cfg.dim * cfg.hidden) == 16
+        rng = np.random.default_rng(7)
+        fw = make_ffn_weights(rng, cfg.dim, cfg.hidden)
+        attns = []
+        for image in range(10):
+            x = rng.normal(size=(cfg.num_tokens, cfg.dim))
+            if image % 3 == 0:  # every patch alike: zero scores, all 26 rows in band
+                x[2:] = x[1]
+            attns.append(make_attention(rng, cfg.heads, x))
+        stack = AttentionOutput(features=np.stack([a.features for a in attns]),
+                                mean_attention=np.stack([a.mean_attention for a in attns]))
+        out, traces = sata_stage(stack, cfg, fw, 1)
+        rows = {tr.ffn_tokens for tr in traces}
+        assert min(rows) < 16 <= max(rows)  # both kernel sides in one stack
+        for b, attn in enumerate(attns):
+            want, want_trace = sata_stage(attn, cfg, fw, 1)
+            assert out[b].tobytes() == want.tobytes(), b
+            assert bits(traces[b]) == bits(want_trace), b

@@ -30,7 +30,6 @@ from satavit.images import (
     write_raw_image,
 )
 from satavit.rng import SplitMix64
-from satavit.sata import bipartite_match
 from satavit.tensorops import cosine_similarity
 
 CFG = ModelConfig(depth=4, dim=16, heads=2, patch=2, image=8, num_classes=4,
@@ -548,12 +547,13 @@ class TestSelftest:
 
     def test_noop_equivalence_runs_the_merge_path(self, monkeypatch):
         calls = []
+        match = sata._match
 
         def counting(*args):
             calls.append(1)
-            return bipartite_match(*args)
+            return match(*args)
 
-        monkeypatch.setattr(sata, "bipartite_match", counting)
+        monkeypatch.setattr(sata, "_match", counting)
         harness._check_noop_equivalence(SplitMix64(0), 5)
         assert len(calls) == 5
 

@@ -241,15 +241,17 @@ class TestLoopReferenceBitwise:
             (rng.normal(size=(8, 3)), [6]),
             (rng.normal(size=(8, 3)), []),
         ]
-        for feats, set_a in cases:
-            plan = bipartite_match(set_a, feats)
-            edges, groups, reps, residuals = loop_match(set_a, feats)
-            assert plan.edges == edges
-            assert plan.members.tolist() == [int(i) for g in groups for i in g]
-            assert plan.group_sizes.tolist() == [g.size for g in groups]
-            want = np.stack(reps) if reps else np.zeros((0, 3))
-            assert np.array_equal(plan.representatives, want)
-            assert plan.residuals.tolist() == residuals
+        # each case alone, and all of them as one mixed stack
+        stacked = bipartite_match([set_a for _, set_a in cases], np.stack([f for f, _ in cases]))
+        for (feats, set_a), one in zip(cases, stacked):
+            for plan in (bipartite_match(set_a, feats), one):
+                edges, groups, reps, residuals = loop_match(set_a, feats)
+                assert plan.edges == edges
+                assert plan.members.tolist() == [int(i) for g in groups for i in g]
+                assert plan.group_sizes.tolist() == [g.size for g in groups]
+                want = np.stack(reps) if reps else np.zeros((0, 3))
+                assert np.array_equal(plan.representatives, want)
+                assert plan.residuals.tolist() == residuals
 
 
 class TestSplitTokens:

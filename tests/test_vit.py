@@ -1,5 +1,6 @@
 """Layer and forward tests, including a straight-line reference forward."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -30,6 +31,9 @@ from test_tensorops import (
 )
 
 EPS = 1e-6  # layer-norm epsilon pinned by the block contract
+# per architecture field, a value the small test model does not have
+ARCHITECTURE_MISMATCH = {"depth": 4, "dim": 16, "heads": 4, "ffn_ratio": 2.0, "patch": 4,
+                         "image": 16, "num_classes": 5, "channels": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +218,15 @@ class TestModelConfig:
             ModelConfig(**{field: value})
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            ModelConfig.from_dict({"deptth": 3})
+        for key in ("deptth", "ARCHITECTURE_FIELDS"):  # a class constant is no field
+            with pytest.raises(ValueError, match="unknown"):
+                ModelConfig.from_dict({key: 3})
+
+    def test_every_field_is_architecture_or_run(self):
+        names = [f.name for f in dataclasses.fields(ModelConfig)]
+        groups = ModelConfig.ARCHITECTURE_FIELDS + ModelConfig.RUN_FIELDS
+        assert sorted(groups) == sorted(names)  # each field in exactly one group
+        assert sorted(vit._INT_FIELDS + vit._FLOAT_FIELDS + vit._BOOL_FIELDS) == sorted(names)
 
     @pytest.mark.parametrize("cfg", [
         ModelConfig(),
@@ -482,10 +493,8 @@ class TestForward:
                 assert np.array_equal(got.scores.s, want.scores.s)
                 assert got.ffn_flops == want.ffn_flops
 
-    @pytest.mark.parametrize("field, value", [
-        ("depth", 4), ("dim", 16), ("heads", 4), ("ffn_ratio", 2.0), ("patch", 4),
-        ("image", 16), ("num_classes", 5), ("channels", 3),
-    ])
+    @pytest.mark.parametrize("field, value", [(f, ARCHITECTURE_MISMATCH[f])
+                                              for f in ModelConfig.ARCHITECTURE_FIELDS])
     def test_architecture_mismatch_rejected(self, small_model, field, value):
         cfg = small_model.config
         img = np.linspace(0, 1, cfg.image * cfg.image).reshape(cfg.image, cfg.image)
