@@ -169,8 +169,8 @@ def stacks(cfg, count: int) -> list[slice]:
 
 
 def blocked_lines(mk: int) -> int:
-    """The fewest product lines (rows or columns) of a double GEMM against
-    the other two GEMM sizes ``mk`` that OpenBLAS runs on its blocked
+    """The fewest product lines (rows or columns) that put a double GEMM
+    whose other two sizes multiply to ``mk`` on OpenBLAS's blocked
     kernel: more than ``_SMALL_GEMM_MNK`` in all and at least 2 (1 line
     takes the matrix-vector path).
 
