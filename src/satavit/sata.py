@@ -21,6 +21,7 @@ reduced-FFN call per BLAS kernel side and one restore.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -140,12 +141,6 @@ def _band(scores: list[SpatialScores], alpha: float) -> tuple[np.ndarray, list, 
     return inside, lower.tolist(), upper.tolist()
 
 
-def _unit_rows(f: np.ndarray) -> np.ndarray:
-    # np.linalg.norm(f, axis=1, keepdims=True) computes exactly this
-    norms = np.sqrt(np.add.reduce(f * f, axis=1, keepdims=True))
-    return np.divide(f, norms, out=np.zeros(f.shape), where=norms > 0)
-
-
 def bipartite_match(set_a, features) -> MergePlan | list[MergePlan]:
     """One-edge-per-source matching between alternating halves of set_a.
 
@@ -162,7 +157,8 @@ def bipartite_match(set_a, features) -> MergePlan | list[MergePlan]:
     :class:`MergePlan`.  A list of sets, one per image, with a stack of
     features, (B, n, d), gives one ``MergePlan`` per image, each bitwise
     what the image gives alone, from one matching of the whole stack;
-    the one image is the stack of one.
+    the one image is the stack of one.  Every index must lie in
+    ``[0, n)``: a stack's images share no rows.
     """
     features = as_matrices(features)
     stacked = features.ndim == 3
@@ -171,20 +167,25 @@ def bipartite_match(set_a, features) -> MergePlan | list[MergePlan]:
     images, n, d = feats.shape
     if len(sets) != images:
         raise ValueError(f"{len(sets)} token sets for a stack of {images} images")
-    img = np.repeat(np.arange(images), [a.size for a in sets])
-    plan = _match(feats.reshape(-1, d), np.concatenate(sets) + n * img, img, images)
+    n_a = np.array([a.size for a in sets], dtype=np.int64)
+    img = np.repeat(np.arange(images), n_a)
+    token = np.concatenate(sets)
+    bad = (token < 0) | (token >= n)
+    if np.logical_or.reduce(bad):
+        raise ValueError(f"token index {token[bad][0]} outside [0, {n}) in image {img[bad][0]}")
+    plan = _match(feats.reshape(-1, d), token + n * img, img, n_a)
 
     def tokens(rows):  # flat rows -> each image's token indices
         owner = rows // n
         return _by_image(rows - n * owner, np.bincount(owner, minlength=images))
 
-    groups = np.bincount(plan.group_images, minlength=images)
     plans = [
         MergePlan(edges=dict(zip(src.tolist(), tgt.tolist())), members=members,
                   group_sizes=sizes, representatives=reps, residuals=residuals)
         for src, tgt, members, sizes, reps, residuals in zip(
             tokens(plan.sources), tokens(plan.targets), tokens(plan.members),
-            _by_image(plan.group_sizes, groups), _by_image(plan.representatives, groups),
+            _by_image(plan.group_sizes, plan.groups),
+            _by_image(plan.representatives, plan.groups),
             tokens(plan.residuals))
     ]
     return plans if stacked else plans[0]
@@ -197,44 +198,48 @@ class _Plan(NamedTuple):
     targets: np.ndarray  # each source's target
     members: np.ndarray  # merged rows by group (ascending target), ascending within
     group_sizes: np.ndarray
-    group_images: np.ndarray
     representatives: np.ndarray  # (groups, d)
     residuals: np.ndarray  # targets with no incoming edge
-    residual_images: np.ndarray
+    groups: np.ndarray  # per image, its count of groups
+    residual_counts: np.ndarray  # per image, its count of residuals
 
 
-def _match(feats: np.ndarray, rows: np.ndarray, img: np.ndarray, images: int) -> _Plan:
+def _match(feats: np.ndarray, rows: np.ndarray, img: np.ndarray, n_a: np.ndarray) -> _Plan:
     """:func:`bipartite_match` of every image of a stack at once.
 
     ``feats`` holds the rows of all images, (R, d); ``rows`` lists each
-    image's set in its order, image after image, and ``img`` the image
-    of each entry.  Each image's results are bitwise its own: the
-    unit rows and the zero-row flags are per row, each image's
-    similarity GEMM has its own shape, written into a padded buffer
-    whose padding (-inf) never wins the ``argmax``, and every group
-    sums its own members from +0.0 in member order.
+    image's set in its order, image after image, ``img`` the image of
+    each entry and ``n_a`` each image's set size.  Each image's results
+    are bitwise its own: the unit rows and the zero-row flags are per
+    row, each image's similarity GEMM has its own shape, written into a
+    padded buffer whose padding (-inf) never wins the ``argmax``, and
+    every group sums its own members from +0.0 in member order.
     """
-    n_a = np.bincount(img, minlength=images)
+    # even positions are sources, odd ones targets; a lone member is a
+    # target.  k1 and k2: each image's count of sources and of targets
+    sizes = n_a.tolist()
+    images = len(sizes)
+    k1 = [0 if size == 1 else (size + 1) // 2 for size in sizes]
+    k2 = [size - m for size, m in zip(sizes, k1)]
     start = np.add.accumulate(n_a)
     start -= n_a
     half, odd = np.divmod(np.arange(rows.size) - start[img], 2)  # slot in the image's half
-    # even positions are sources, odd ones targets; a lone member is a target
     is_target = odd == 1
-    lone = n_a == 1
-    if np.logical_or.reduce(lone):
-        is_target |= lone[img]
+    if 1 in sizes:
+        is_target |= (n_a == 1)[img]
     src, tgt = (~is_target).nonzero()[0], is_target.nonzero()[0]
     src_rows, tgt_rows = rows[src], rows[tgt]
     if not src.size:
         none = np.empty(0, dtype=np.int64)
-        return _Plan(none, none, none, none, none, np.zeros((0, feats.shape[1])), tgt_rows,
-                     img[tgt])
+        return _Plan(none, none, none, none, np.zeros((0, feats.shape[1])), tgt_rows,
+                     np.zeros(images, dtype=np.int64), n_a)
     src_img, slot = img[src], half[src]
-    k1 = np.bincount(src_img, minlength=images)
-    k2 = (n_a - k1).tolist()
-    k1 = k1.tolist()
     f = feats[np.concatenate([src_rows, tgt_rows])]
-    u = _unit_rows(f)
+    # unit rows, 0 for a row of norm 0; np.linalg.norm(f, axis=1,
+    # keepdims=True) computes exactly these norms
+    norms = np.sqrt(np.add.reduce(f * f, axis=1, keepdims=True))
+    positive = norms > 0
+    u = np.divide(f, norms, out=np.zeros(f.shape), where=positive)
     u1, u2 = u[: src.size], u[src.size :]
     sim = np.empty((images, max(k1), max(k2)))
     sim.fill(-np.inf)
@@ -247,22 +252,23 @@ def _match(feats: np.ndarray, rows: np.ndarray, img: np.ndarray, images: int) ->
     # all-zero rows have unit 0; a zero source against a zero target of
     # its image counts as identical (similarity 1), matching the
     # package-wide cosine convention.  Exact zeros: a row whose norm
-    # underflows to 0 is no zero row.  (The ufunc reductions np.all and
-    # ndarray.any run, without their Python wrappers.)
-    zero = np.logical_and.reduce(f == 0.0, axis=1)
-    zero1, zero2 = zero[: src.size], zero[src.size :]
-    if np.logical_or.reduce(zero1) and np.logical_or.reduce(zero2):
-        zero_src = np.zeros(sim.shape[:2], dtype=bool)
-        zero_src[src_img, slot] = zero1
-        zero_tgt = np.zeros((images, sim.shape[2]), dtype=bool)
-        zero_tgt[img[tgt], half[tgt]] = zero2
-        sim[zero_src[:, :, None] & zero_tgt[:, None, :]] = 1.0
+    # underflows to 0 is no zero row, and only a row of norm 0 can be
+    # one.  (The ufunc reductions np.all and ndarray.any run, without
+    # their Python wrappers.)
+    if not np.logical_and.reduce(positive, axis=None):
+        zero = np.logical_and.reduce(f == 0.0, axis=1)
+        zero1, zero2 = zero[: src.size], zero[src.size :]
+        if np.logical_or.reduce(zero1) and np.logical_or.reduce(zero2):
+            zero_src = np.zeros(sim.shape[:2], dtype=bool)
+            zero_src[src_img, slot] = zero1
+            zero_tgt = np.zeros((images, sim.shape[2]), dtype=bool)
+            zero_tgt[img[tgt], half[tgt]] = zero2
+            sim[zero_src[:, :, None] & zero_tgt[:, None, :]] = 1.0
 
     # argmax returns the first maximum; targets are in set order, so ties
     # resolve to the lowest token index.  picked: each source's target as
     # a position among all targets, which run image after image
-    first_target = np.add.accumulate(k2)
-    first_target -= k2
+    first_target = np.array([0, *accumulate(k2[:-1])])
     picked = first_target[src_img] + sim.argmax(axis=2)[src_img, slot]
     hit = np.zeros(tgt.size, dtype=bool)
     hit[picked] = True
@@ -275,26 +281,18 @@ def _match(feats: np.ndarray, rows: np.ndarray, img: np.ndarray, images: int) ->
 
     # summed in member order from +0.0, one member rank of every group of
     # every image per pass, then divided: bitwise equal to
-    # feats[group].mean(axis=0) (np.add.reduceat is not).  Largest groups
-    # first: the groups with a member of rank r are then the first
-    # longer[r], and their rows of that rank the next longer[r] rows of
-    # by_rank
-    order = (-group_sizes).argsort(kind="stable")
-    first = (np.add.accumulate(group_sizes) - group_sizes)[order]
-    longer = np.add.accumulate(np.bincount(group_sizes)[::-1])[::-1][1:]
-    rank = np.arange(longer.size)[:, None]
-    by_rank = feats[members[(first + rank)[rank < group_sizes[order]]]]
-    sums = np.zeros((group_sizes.size, feats.shape[1]))
-    at = 0
-    for live in longer.tolist():
-        sums[:live] += by_rank[at : at + live]
-        at += live
-    reps = np.empty_like(sums)
-    reps[order] = sums
+    # feats[group].mean(axis=0) (np.add.reduceat is not).  Shorter groups
+    # are padded with +0.0 rows, which leave a sum that started from +0.0
+    # unchanged
+    ranked = np.zeros((group_sizes.size, np.maximum.reduce(group_sizes), feats.shape[1]))
+    ranked[np.arange(ranked.shape[1]) < group_sizes[:, None]] = feats[members]
+    reps = np.zeros((group_sizes.size, feats.shape[1]))
+    for rank in range(ranked.shape[1]):
+        reps += ranked[:, rank]
     reps /= group_sizes[:, None]
-    tgt_img, miss = img[tgt], ~hit
-    return _Plan(src_rows, tgt_rows[picked], members, group_sizes, tgt_img[hit], reps,
-                 tgt_rows[miss], tgt_img[miss])
+    groups = np.bincount(img[tgt[hit]], minlength=images)
+    return _Plan(src_rows, tgt_rows[picked], members, group_sizes, reps, tgt_rows[~hit], groups,
+                 np.subtract(k2, groups))
 
 
 def _by_image(values: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
@@ -332,8 +330,8 @@ def sata_stage(
     out-of-band tokens of every image in one call (only the similarity
     GEMMs run image by image, each at its own shape), runs the reduced
     FFN for the whole stack and adds every delta back by flat row
-    indices.  A stack of one runs its reduced token set as it is; a
-    larger stack pads each image's set with zero rows to the longest.
+    indices.  Each image's reduced token set is padded with zero rows
+    to the longest image's (a stack of one has no padding rows).
     Padding keeps an image's bits only while its own and the padded row
     count use the same BLAS kernel
     (:func:`~satavit.parallel.blocked_lines`), so the images run in one
@@ -397,48 +395,42 @@ def _merge(x: np.ndarray, inside: np.ndarray, ffn_weights: FfnWeights, lanes: La
     routed[:, 1:] = inside
     flat = x.reshape(-1, d)
     img, col = (~routed).nonzero()
-    plan = _match(flat, n_all * img + col, img, images)
+    n_kept = np.add.reduce(routed, axis=1)
+    plan = _match(flat, n_all * img + col, img, n_all - n_kept)
 
-    # each image's FFN input: its routed rows, then its groups' representatives
+    # each image's FFN input: its routed rows, then its groups'
+    # representatives, padded with zero rows to the longest image's.
+    # at_kept and at_group: each part's rows in the padded stack, image
+    # after image
     kept = routed.ravel().nonzero()[0]
-    if images == 1:  # a stack of one needs no padding
-        deltas = ffn(np.concatenate([flat[kept], plan.representatives]), ffn_weights, lanes)
-        kept_deltas, group_deltas = deltas[: kept.size], deltas[kept.size :]
-        counts = [(kept.size, plan.group_sizes.size, plan.residuals - 1)]
-    else:
-        # padded with zero rows to the longest image's; the masks pick each
-        # part, image after image
-        n_kept = np.add.reduce(routed, axis=1)
-        n_groups = np.bincount(plan.group_images, minlength=images)
-        n_rows = n_kept + n_groups
-        longest = np.maximum.reduce(n_rows)
-        line = np.arange(longest)
-        is_kept = line < n_kept[:, None]
-        is_group = line < n_rows[:, None]
-        is_group ^= is_kept
-        ffn_in = np.zeros((images, longest, d))
-        ffn_in[is_kept] = flat[kept]
-        ffn_in[is_group] = plan.representatives
-        # padding keeps an image's bits only on its own BLAS kernel side;
-        # every image has at least 2 rows (the class token and an in-band
-        # token or a group), so none takes the matrix-vector path
-        blocked = blocked_lines(d * ffn_weights.w1.shape[1])
-        if (longest >= blocked) == (np.minimum.reduce(n_rows) >= blocked):
-            deltas = ffn(ffn_in, ffn_weights, lanes)
-        else:  # one stack per side, each as long as its longest image
-            deltas = np.empty_like(ffn_in)
-            for side in (n_rows >= blocked, n_rows < blocked):
-                rows = n_rows[side].max()
-                deltas[side, :rows] = ffn(ffn_in[side, :rows], ffn_weights, lanes)
-        kept_deltas, group_deltas = deltas[is_kept], deltas[is_group]
-        owner = plan.residual_images
-        residuals = _by_image(plan.residuals - (n_all * owner + 1),
-                              np.bincount(owner, minlength=images))
-        counts = list(zip(n_kept.tolist(), n_groups.tolist(), residuals))
+    n_rows = n_kept + plan.groups
+    rows = n_rows.tolist()
+    line = np.arange(max(rows))
+    is_kept = line < n_kept[:, None]
+    is_group = line < n_rows[:, None]
+    is_group ^= is_kept
+    at_kept, at_group = is_kept.ravel().nonzero()[0], is_group.ravel().nonzero()[0]
+    ffn_in = np.zeros((images, line.size, d))
+    ffn_rows = ffn_in.reshape(-1, d)
+    ffn_rows[at_kept] = flat[kept]
+    ffn_rows[at_group] = plan.representatives
+    # padding keeps an image's bits only on its own BLAS kernel side;
+    # every image has at least 2 rows (the class token and an in-band
+    # token or a group), so none takes the matrix-vector path
+    blocked = blocked_lines(d * ffn_weights.w1.shape[1])
+    if (max(rows) >= blocked) == (min(rows) >= blocked):
+        deltas = ffn(ffn_in, ffn_weights, lanes)
+    else:  # one stack per side, each as long as its longest image
+        deltas = np.empty_like(ffn_in)
+        for side in (n_rows >= blocked, n_rows < blocked):
+            longest = n_rows[side].max()
+            deltas[side, :longest] = ffn(ffn_in[side, :longest], ffn_weights, lanes)
 
-    out = x.copy()
-    out_flat = out.reshape(-1, d)
-    out_flat[kept] += kept_deltas
-    out_flat[plan.members] += group_deltas.repeat(plan.group_sizes, axis=0)
+    # each routed row takes its own delta, each member its group's;
     # residual rows stay bitwise untouched
-    return out, counts
+    out = x.copy()
+    to = np.concatenate([kept, plan.members])
+    out.reshape(-1, d)[to] += deltas.reshape(-1, d)[
+        np.concatenate([at_kept, at_group.repeat(plan.group_sizes)])]
+    residuals = _by_image(plan.residuals % n_all - 1, plan.residual_counts)
+    return out, list(zip(n_kept.tolist(), plan.groups.tolist(), residuals))

@@ -59,10 +59,9 @@ def row_softmax(a) -> np.ndarray:
     a = as_matrices(a)
     if a.size == 0:
         return a.copy()
-    # the ufunc reductions of ndarray.max and .sum, without their wrappers
-    e = a - np.maximum.reduce(a, axis=-1, keepdims=True)
+    e = a - a.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
@@ -82,8 +81,8 @@ def layer_norm(x, gain, bias) -> np.ndarray:
     # variance overflows would come out as the bias, finite, so it is
     # rejected here rather than warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        dev = x - np.add.reduce(x, axis=-1, keepdims=True) / d  # x.mean's bits
-        var = np.add.reduce(dev * dev, axis=-1, keepdims=True) / d
+        dev = x - x.sum(axis=-1, keepdims=True) / d  # x.mean's bits
+        var = (dev * dev).sum(axis=-1, keepdims=True) / d
     if np.count_nonzero(np.isfinite(var)) != var.size:
         raise FloatingPointError("layer_norm produced non-finite entries")
     dev /= np.sqrt(var + 1e-6)

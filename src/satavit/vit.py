@@ -339,7 +339,7 @@ def mhsa(x, w: AttnWeights, heads: int, lanes: Lanes = SERIAL) -> AttentionOutpu
     features += w.bo
     features += x
     # ndarray.mean's add.reduce and in-place divide, bitwise, without its wrapper
-    mean_attention = np.add.reduce(maps, axis=-3)
+    mean_attention = maps.sum(axis=-3)
     mean_attention /= heads
     return AttentionOutput(features=features, mean_attention=mean_attention)
 

@@ -290,6 +290,15 @@ class TestStackedMatch:
         for b, (set_a, plan) in enumerate(zip(sets, got)):
             assert plan_bits(plan) == plan_bits(bipartite_match(set_a, feats[b])), b
 
+    @pytest.mark.parametrize("index", [6, -1])
+    def test_index_outside_the_image_rejected(self, index):
+        # token 6 of image 0 would be row 0 of image 1 in the flat stack
+        feats = np.random.default_rng(0).normal(size=(2, 6, 4))
+        with pytest.raises(ValueError, match=r"outside \[0, 6\) in image 0"):
+            bipartite_match([[0, 1, index], [0, 1, 2]], feats)
+        with pytest.raises(ValueError, match=r"outside \[0, 6\)"):
+            bipartite_match([0, 1, index], feats[0])
+
 
 class TestStageStraddlingTheKernelSides:
     def test_padded_ffn_keeps_each_images_bits(self):
