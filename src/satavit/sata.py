@@ -281,14 +281,22 @@ def _match(feats: np.ndarray, rows: np.ndarray, img: np.ndarray, n_a: np.ndarray
 
     # summed in member order from +0.0, one member rank of every group of
     # every image per pass, then divided: bitwise equal to
-    # feats[group].mean(axis=0) (np.add.reduceat is not).  Shorter groups
-    # are padded with +0.0 rows, which leave a sum that started from +0.0
-    # unchanged
-    ranked = np.zeros((group_sizes.size, np.maximum.reduce(group_sizes), feats.shape[1]))
-    ranked[np.arange(ranked.shape[1]) < group_sizes[:, None]] = feats[members]
-    reps = np.zeros((group_sizes.size, feats.shape[1]))
-    for rank in range(ranked.shape[1]):
-        reps += ranked[:, rank]
+    # feats[group].mean(axis=0) (np.add.reduceat is not).  Largest groups
+    # first: the groups with a member of rank r are then the first
+    # longer[r], and their rows of that rank the next longer[r] rows of
+    # by_rank
+    order = (-group_sizes).argsort(kind="stable")
+    first = (np.add.accumulate(group_sizes) - group_sizes)[order]
+    longer = np.add.accumulate(np.bincount(group_sizes)[::-1])[::-1][1:]
+    rank = np.arange(longer.size)[:, None]
+    by_rank = feats[members[(first + rank)[rank < group_sizes[order]]]]
+    sums = np.zeros((group_sizes.size, feats.shape[1]))
+    at = 0
+    for live in longer.tolist():
+        sums[:live] += by_rank[at : at + live]
+        at += live
+    reps = np.empty_like(sums)
+    reps[order] = sums
     reps /= group_sizes[:, None]
     groups = np.bincount(img[tgt[hit]], minlength=images)
     return _Plan(src_rows, tgt_rows[picked], members, group_sizes, reps, tgt_rows[~hit], groups,
