@@ -14,15 +14,16 @@ stack of one.
 Every block goes through :func:`~satavit.sata.sata_stage`, which
 records the block's :class:`~satavit.sata.BlockTrace`, so token counts
 and FLOPs are observable across the whole depth.  The stage decides
-from ``cfg`` and the block index whether a block merges; before
-``sata_start_block`` or with the stage disabled it passes through: the
-full FFN on the whole stream, and a trace with an empty out-of-band
-set.  ``trace_scores`` decides what else a trace holds.  Without it
-(the default) only stage blocks score and band the tokens, because
-they need the split, and no trace keeps a score.  With it every block
-scores and bands, and every trace keeps the stage's
-:class:`~satavit.moran.SpatialScores`, band bounds and class-token
-attention row.  The logits are the same either way.
+from ``cfg`` and the block index whether a block merges
+(``cfg.merges``); before ``sata_start_block`` or with the stage
+disabled it passes through: the full FFN on the whole stream, and a
+trace with an empty out-of-band set.  ``trace_scores`` decides what
+else a trace holds.  Without it (the default) only stage blocks score
+and band the tokens, because they need the split, and no trace keeps
+a score; a pass-through block then reads no attention map, so its
+``mhsa`` builds none.  With it every block scores and bands, and every
+trace keeps the stage's :class:`~satavit.moran.SpatialScores`, band
+bounds and class-token attention row.  The logits are the same either way.
 
 Weights come from outside the program, so a forward checks that each
 stream is finite once, where it leaves a part of the model: the
@@ -104,7 +105,7 @@ def run_blocks(
     traces = []
     for i in range(first, stop):
         try:
-            attn = mhsa(x, attn_view(model, i), cfg.heads, lanes)
+            attn = mhsa(x, attn_view(model, i), cfg.heads, lanes, trace_scores or cfg.merges(i))
             _finite(attn.features, "attention")
             x_next, trace = sata_stage(attn, cfg, ffn_view(model, i), i, lanes, trace_scores)
             _finite(x_next, "ffn")

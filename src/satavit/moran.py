@@ -105,7 +105,7 @@ def z_normalize(a) -> np.ndarray:
     sigma = np.sqrt(np.add.reduce(dev * dev, axis=-1, keepdims=True) / n)
     flat = np.logical_and.reduce(a == a[..., :1], axis=-1, keepdims=True)
     flat |= sigma == 0.0
-    return np.divide(dev, sigma, out=np.zeros_like(dev), where=~flat)
+    return np.divide(dev, sigma, out=np.zeros(dev.shape), where=~flat)
 
 
 def local_moran(z, w) -> np.ndarray:

@@ -90,10 +90,10 @@ def workers(cfg, min_ffn_flops: int = _POOL_MIN_FFN_FLOPS) -> int:
     20 us), but below that size lanes lost, or won too few pairs to
     tell from the spread between runs.
     """
-    blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
-    if blas != "1" or cfg.block_ffn_flops < min_ffn_flops:
+    if cfg.block_ffn_flops < min_ffn_flops:
         return 1
-    return _cpus()
+    blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    return _cpus() if blas == "1" else 1
 
 
 def _executor() -> ThreadPoolExecutor:

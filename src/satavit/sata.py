@@ -327,11 +327,12 @@ def sata_stage(
     (B, n, n) maps, gives the output stack and a list of one trace per
     image, each image's slice and trace bitwise its own.
 
-    The stage merges only if ``cfg.sata_enabled`` and ``block_index``
-    is at least ``cfg.sata_start_block``.  In any other block the full
-    FFN runs on the stream itself, once over the whole stack, with no
-    gather or restore; the trace reports an empty out-of-band set
-    (``n_a=0``, ``n_b=N-1``, no groups, no residuals, ``ffn_tokens=N``).
+    The stage merges where ``cfg.merges(block_index)``: the stage is
+    enabled and the block is at or past ``cfg.sata_start_block``.  In
+    any other block the full FFN runs on the stream itself, once over
+    the whole stack, with no gather or restore; the trace reports an
+    empty out-of-band set (``n_a=0``, ``n_b=N-1``, no groups, no
+    residuals, ``ffn_tokens=N``).
 
     A merging block, and with ``trace_scores`` every block, scores and
     bands the whole stack at once.  A merging block then matches the
@@ -352,21 +353,31 @@ def sata_stage(
     scores and bounds next to the empty out-of-band set.  Without it
     those fields are ``None``, and a pass-through block skips scoring
     and banding altogether.  The output is the same either way.
+
+    Only a merging block, or any block with ``trace_scores``, reads
+    ``attn.mean_attention``, and raises ``ValueError`` if it is
+    ``None``.  A pass-through block without ``trace_scores`` reads no
+    map, so ``mhsa(..., mean_attention=False)`` may skip building it.
+    A map that is given must match the stream's shape.
     """
     x = as_matrices(attn.features)
     single = x.ndim == 2
-    maps = attn.mean_attention[None] if single else attn.mean_attention
     x = x[None] if single else x
     images, n_all, d = x.shape
     if n_all < 2:
         raise ValueError(f"need at least one patch token besides the class token, got {n_all} rows")
-    if maps.shape != (images, n_all, n_all):
-        raise ValueError(
-            f"attention map shape {attn.mean_attention.shape} does not match {n_all} tokens"
-        )
 
-    merge = cfg.sata_enabled and block_index >= cfg.sata_start_block
-    hidden = ffn_weights.w1.shape[1]
+    merge = cfg.merges(block_index)
+    maps = attn.mean_attention
+    if maps is not None:
+        maps = maps[None] if single else maps
+        if maps.shape != (images, n_all, n_all):
+            raise ValueError(
+                f"attention map shape {attn.mean_attention.shape} does not match {n_all} tokens"
+            )
+    elif merge or trace_scores:
+        raise ValueError(f"block {block_index} reads the attention map "
+                         f"({'it merges' if merge else 'scores are traced'}) but got none")
     if merge or trace_scores:
         scores = spatial_scores(x[:, 1:], maps[:, 1:, 1:])
         inside, lower, upper = _band(scores, cfg.alpha)
@@ -384,9 +395,11 @@ def sata_stage(
         scored = zip(scores, zip(lower, upper), cls_rows)
     else:
         scored = [(None, None, None)] * images
+    # ffn_flops is linear in the token count: each trace's count times one token's
+    token_flops = ffn_flops(1, d, ffn_weights.w1.shape[1])
     traces = [
         BlockTrace(block_index, n_all - n_kept, n_kept - 1, n_groups, n_kept + n_groups,
-                   ffn_flops(n_kept + n_groups, d, hidden), residuals, *fields)
+                   (n_kept + n_groups) * token_flops, residuals, *fields)
         for (n_kept, n_groups, residuals), fields in zip(counts, scored)
     ]
     return (out[0], traces[0]) if single else (out, traces)

@@ -173,6 +173,11 @@ class ModelConfig:
         """First 0-based block index the analysis stage applies to."""
         return math.ceil(self.gamma * self.depth)
 
+    def merges(self, block_index: int) -> bool:
+        """Whether the stage merges tokens in block ``block_index``: it is
+        enabled and the block is at or past ``sata_start_block``."""
+        return self.sata_enabled and block_index >= self.sata_start_block
+
     def with_overrides(self, **kwargs) -> "ModelConfig":
         return replace(self, **kwargs)
 
@@ -212,8 +217,19 @@ class EmbedWeights:
     pos_embed: np.ndarray  # (num_tokens, dim)
 
 
+def _check_shapes(kind: str, weights, want: dict[str, tuple[int, ...]]) -> None:
+    """Raise ``ValueError`` naming the first field of ``weights`` whose shape is not ``want``'s."""
+    for name, shape in want.items():
+        got = np.shape(getattr(weights, name))
+        if got != shape:
+            raise ValueError(f"{kind} weight {name} has shape {got}, expected {shape}")
+
+
 @dataclass(frozen=True)
 class AttnWeights:
+    """One block's attention weights, every shape checked once, here, against
+    the width of ``ln_gain``; :func:`mhsa` then checks only its stream's width."""
+
     ln_gain: np.ndarray
     ln_bias: np.ndarray
     wq: np.ndarray
@@ -225,15 +241,32 @@ class AttnWeights:
     wo: np.ndarray
     bo: np.ndarray
 
+    def __post_init__(self):
+        d = np.size(self.ln_gain)
+        vec, mat = (d,), (d, d)
+        _check_shapes("attention", self, {"ln_gain": vec, "ln_bias": vec, "wq": mat, "bq": vec,
+                                          "wk": mat, "bk": vec, "wv": mat, "bv": vec,
+                                          "wo": mat, "bo": vec})
+
 
 @dataclass(frozen=True)
 class FfnWeights:
+    """One block's FFN weights, every shape checked once, here, against the
+    width of ``ln_gain`` and the hidden width of ``w1``; :func:`ffn` then
+    checks only its stream's width."""
+
     ln_gain: np.ndarray
     ln_bias: np.ndarray
     w1: np.ndarray  # (dim, hidden)
     b1: np.ndarray
     w2: np.ndarray  # (hidden, dim)
     b2: np.ndarray
+
+    def __post_init__(self):
+        d, w1, w2 = np.size(self.ln_gain), np.shape(self.w1), np.shape(self.w2)
+        if len(w1) != 2 or w1[0] != d or w2 != (w1[1], d):
+            raise ValueError(f"ffn weight shapes {w1} / {w2} do not chain for dim {d}")
+        _check_shapes("ffn", self, {"ln_gain": (d,), "ln_bias": (d,), "b1": w1[1:], "b2": (d,)})
 
 
 @dataclass(frozen=True)
@@ -249,7 +282,8 @@ class AttentionOutput:
     """Attention result: residual-added features plus the head-averaged map."""
 
     features: np.ndarray  # ([B,] num_tokens, dim), x + projected attention
-    mean_attention: np.ndarray  # ([B,] num_tokens, num_tokens), head average
+    # ([B,] num_tokens, num_tokens), head average; None where no caller reads it
+    mean_attention: np.ndarray | None
 
 
 def patch_embed(image, w: EmbedWeights, cfg: ModelConfig) -> np.ndarray:
@@ -289,7 +323,8 @@ def patch_embed(image, w: EmbedWeights, cfg: ModelConfig) -> np.ndarray:
     return x + w.pos_embed
 
 
-def mhsa(x, w: AttnWeights, heads: int, lanes: Lanes = SERIAL) -> AttentionOutput:
+def mhsa(x, w: AttnWeights, heads: int, lanes: Lanes = SERIAL,
+         mean_attention: bool = True) -> AttentionOutput:
     """Pre-norm multi-head self-attention with residual add.
 
     ``x`` is one image's tokens, (n, d), or a stack of them, (B, n, d);
@@ -297,51 +332,65 @@ def mhsa(x, w: AttnWeights, heads: int, lanes: Lanes = SERIAL) -> AttentionOutpu
     image alone, because every product is a stacked ``matmul`` of the
     same per-image shapes.  Per-head logits are scaled by
     1/sqrt(dim/heads); ``mean_attention`` is the head average of the
-    post-softmax maps, which are not kept.  ``lanes`` splits the work
+    post-softmax maps, which are not kept, or ``None`` if the caller
+    reads no map (``mean_attention=False``).  ``lanes`` splits the work
     from the Q/K/V projections to the attended values by head groups
     (each group projects its own columns); the result is bitwise the
-    same for every lane count.  A non-finite weight passes through to
+    same for every lane count, and one lane runs inline.  The weights'
+    shapes were checked when ``w`` was built, so only the stream's
+    width is checked here.  A non-finite weight passes through to
     ``features``, and only ``layer_norm`` raises, on an input row whose
     variance is non-finite; the caller checks the result, as
     :func:`satavit.engine.run_blocks` does.
     """
     x = as_matrices(x)
     n, d = x.shape[-2:]
-    for name, mat in (("wq", w.wq), ("wk", w.wk), ("wv", w.wv), ("wo", w.wo)):
-        if mat.shape != (d, d):
-            raise ValueError(f"attention weight {name} has shape {mat.shape}, expected ({d}, {d})")
+    if d != w.wq.shape[0]:
+        raise ValueError(f"stream width {d} does not match the attention weights' {w.wq.shape[0]}")
     if d % heads != 0:
         raise ValueError(f"dim {d} not divisible by {heads} heads")
     hd = d // heads
     scale = 1.0 / math.sqrt(hd)  # correctly rounded, as np.sqrt
-    by_head = x.shape[:-1] + (-1, hd)  # ([B,] n, heads, hd), swapped to ([B,] heads, n, hd)
-
     normed = layer_norm(x, w.ln_gain, w.ln_bias)
     attended = np.empty(x.shape)
-    ah = attended.reshape(by_head).swapaxes(-3, -2)
-
-    def attend(group):
-        cols = slice(group.start * hd, group.stop * hd)
-        q, k, v = normed @ w.wq[:, cols], normed @ w.wk[:, cols], normed @ w.wv[:, cols]
-        q += w.bq[cols]
-        k += w.bk[cols]
-        v += w.bv[cols]
-        qh, kh, vh = (m.reshape(by_head).swapaxes(-3, -2) for m in (q, k, v))
-        logits = qh @ kh.swapaxes(-2, -1)
-        logits *= scale
-        maps = row_softmax(logits.reshape(-1, n)).reshape(logits.shape)
-        np.matmul(maps, vh, out=ah[..., group, :, :])
-        return maps
-
-    groups = run(attend, lanes.heads(heads, n, d), lanes.count)
-    maps = groups[0] if len(groups) == 1 else np.concatenate(groups, axis=-3)
+    ah = attended.reshape(x.shape[:-1] + (-1, hd)).swapaxes(-3, -2)  # ([B,] heads, n, hd)
+    if lanes.count == 1:
+        groups = [_attend(normed, w, slice(0, d), hd, scale, ah)]
+    else:
+        groups = run(
+            lambda g: _attend(normed, w, slice(g.start * hd, g.stop * hd), hd, scale,
+                              ah[..., g, :, :]),
+            lanes.heads(heads, n, d), lanes.count)
     features = attended @ w.wo
     features += w.bo
     features += x
+    if not mean_attention:
+        return AttentionOutput(features=features, mean_attention=None)
+    maps = groups[0] if len(groups) == 1 else np.concatenate(groups, axis=-3)
     # ndarray.mean's add.reduce and in-place divide, bitwise, without its wrapper
-    mean_attention = maps.sum(axis=-3)
-    mean_attention /= heads
-    return AttentionOutput(features=features, mean_attention=mean_attention)
+    mean_map = np.add.reduce(maps, axis=-3)
+    mean_map /= heads
+    return AttentionOutput(features=features, mean_attention=mean_map)
+
+
+def _attend(normed: np.ndarray, w: AttnWeights, cols: slice, hd: int, scale: float,
+            out: np.ndarray) -> np.ndarray:
+    """One head group's attention: project the group's columns ``cols`` of
+    Q, K and V, write the attended values into ``out``, ([B,] heads in the
+    group, n, hd), and return the group's post-softmax maps."""
+    n = normed.shape[-2]
+    by_head = normed.shape[:-1] + (-1, hd)  # ([B,] n, heads, hd), swapped to ([B,] heads, n, hd)
+    q, k, v = normed @ w.wq[:, cols], normed @ w.wk[:, cols], normed @ w.wv[:, cols]
+    q += w.bq[cols]
+    k += w.bk[cols]
+    v += w.bv[cols]
+    qh = q.reshape(by_head).swapaxes(-3, -2)
+    kh = k.reshape(by_head).swapaxes(-3, -2)
+    logits = qh @ kh.swapaxes(-2, -1)
+    logits *= scale
+    maps = row_softmax(logits.reshape(-1, n)).reshape(logits.shape)
+    np.matmul(maps, v.reshape(by_head).swapaxes(-3, -2), out=out)
+    return maps
 
 
 def ffn(x, w: FfnWeights, lanes: Lanes = SERIAL) -> np.ndarray:
@@ -352,30 +401,34 @@ def ffn(x, w: FfnWeights, lanes: Lanes = SERIAL) -> np.ndarray:
     Returns only the delta; the caller owns the residual add.  An empty
     token tensor maps to an empty delta.  ``lanes`` splits the whole
     chain by token rows; the result is bitwise the same for every lane
-    count.  A non-finite weight passes through to the delta, and
-    only ``layer_norm`` raises, on an input row whose variance is
+    count, and one lane runs inline.  The weights' shapes were checked
+    when ``w`` was built, so only the stream's width is checked here.
+    A non-finite weight passes through to the delta, and only
+    ``layer_norm`` raises, on an input row whose variance is
     non-finite; the caller checks the result, as
     :func:`satavit.engine.run_blocks` does.
     """
     x = as_matrices(x)
     n, d = x.shape[-2:]
-    if w.w1.shape[0] != d or w.w2.shape[1] != d or w.w1.shape[1] != w.w2.shape[0]:
-        raise ValueError(
-            f"ffn weight shapes {w.w1.shape} / {w.w2.shape} do not chain for dim {d}"
-        )
+    if d != w.w1.shape[0]:
+        raise ValueError(f"stream width {d} does not match the ffn weights' {w.w1.shape[0]}")
     if n == 0:
         return np.zeros_like(x)
     out = np.empty(x.shape)
-
-    def ffn_rows(rows):
-        h = layer_norm(x[..., rows, :], w.ln_gain, w.ln_bias) @ w.w1
-        h += w.b1
-        part = out[..., rows, :]
-        np.matmul(gelu(h), w.w2, out=part)
-        part += w.b2
-
-    run(ffn_rows, lanes.rows(n, d, w.w1.shape[1]), lanes.count)
+    if lanes.count == 1:
+        _ffn_rows(x, w, out)
+    else:
+        run(lambda rows: _ffn_rows(x[..., rows, :], w, out[..., rows, :]),
+            lanes.rows(n, d, w.w1.shape[1]), lanes.count)
     return out
+
+
+def _ffn_rows(x: np.ndarray, w: FfnWeights, out: np.ndarray) -> None:
+    """The FFN delta of the rows ``x``, written into ``out``."""
+    h = layer_norm(x, w.ln_gain, w.ln_bias) @ w.w1
+    h += w.b1
+    np.matmul(gelu(h), w.w2, out=out)
+    out += w.b2
 
 
 def ffn_flops(n_tokens: int, d: int, hidden: int) -> int:

@@ -28,7 +28,7 @@ from satavit.harness import (
 from satavit.images import random_image
 from satavit.modelio import Model
 from satavit.sata import bipartite_match, ffn_flops, sata_stage
-from satavit.vit import AttentionOutput
+from satavit.vit import AttentionOutput, ffn
 
 from test_sata import TestLoopReferenceBitwise, make_attention
 from test_vit import make_ffn_weights
@@ -203,6 +203,22 @@ class TestStageOnAStack:
         attn = AttentionOutput(features=x, mean_attention=np.zeros((cfg.num_tokens,) * 2))
         with pytest.raises(ValueError, match="attention map shape"):
             sata_stage(attn, cfg, make_ffn_weights(rng, cfg.dim, cfg.hidden), 0)
+
+    @pytest.mark.parametrize("block,trace_scores,reads", [
+        (0, False, False), (0, True, True), (1, False, True)])
+    def test_only_a_block_that_reads_the_map_needs_one(self, block, trace_scores, reads):
+        rng = np.random.default_rng(4)
+        cfg = ModelConfig(depth=2, dim=8, heads=2, patch=2, image=8, gamma=0.5)
+        assert cfg.merges(1) and not cfg.merges(0)
+        x = rng.normal(size=(2, cfg.num_tokens, cfg.dim))
+        fw = make_ffn_weights(rng, cfg.dim, cfg.hidden)
+        attn = AttentionOutput(features=x, mean_attention=None)
+        if reads:
+            with pytest.raises(ValueError, match=f"block {block} reads the attention map"):
+                sata_stage(attn, cfg, fw, block, trace_scores=trace_scores)
+        else:
+            out, _ = sata_stage(attn, cfg, fw, block, trace_scores=trace_scores)
+            assert np.array_equal(out, x + ffn(x, fw))
 
 
 class TestStacks:

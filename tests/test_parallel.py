@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from satavit import ModelConfig, harness, parallel, random_init, vit
+from satavit import ModelConfig, engine, harness, parallel, random_init, vit
 from satavit.engine import classify, embed, forward, run_blocks
 from satavit.harness import (
     STATS_HEADER,
@@ -29,7 +29,7 @@ from satavit.harness import (
 from satavit.images import random_image
 from satavit.modelio import attn_view, ffn_view
 from satavit.parallel import SERIAL, Lanes
-from satavit.sata import ffn_flops
+from satavit.sata import ffn_flops, sata_stage
 
 from test_vit import captured_mhsa
 
@@ -110,6 +110,51 @@ def lane_forwards(model, image, cfg, monkeypatch, counts=(2, 3, 4)):
         force_workers(monkeypatch, count)
         runs[count] = stepped_forward(image, model, cfg)
     return serial, runs
+
+
+def looped_forward(image, model, cfg, lanes, trace_scores):
+    """``run_blocks``' reference: block by block, the public ``mhsa`` with
+    its head-averaged map always built, then ``sata_stage``."""
+    x = embed(image, model)
+    traces = []
+    for i in range(cfg.depth):
+        attn = vit.mhsa(x, attn_view(model, i), cfg.heads, lanes)
+        x, trace = sata_stage(attn, cfg, ffn_view(model, i), i, lanes, trace_scores)
+        traces.append(trace)
+    return classify(x, model), traces
+
+
+class TestSkippedMapOracle:
+    """``run_blocks`` builds no head-averaged map in a block that reads
+    none; the logits and every trace field stay bitwise the reference's."""
+
+    @pytest.mark.parametrize("shape,count", [("8x32", 1), ("8x32", 2), ("vit-ti", 2)])
+    @pytest.mark.parametrize("stage", [True, False], ids=["stage-on", "stage-off"])
+    @pytest.mark.parametrize("trace_scores", [False, True], ids=["plain", "scores"])
+    def test_run_blocks_equals_the_block_loop(self, vit_ti, monkeypatch, shape, count, stage,
+                                              trace_scores):
+        model = vit_ti if shape == "vit-ti" else random_init(ModelConfig(), seed=6)
+        cfg = model.config.with_overrides(sata_enabled=stage)
+        image = random_image(cfg, 2)
+        force_workers(monkeypatch, count)
+        assert parallel.lanes(cfg) == Lanes(count)
+        built = []  # per block: did its mhsa build the map
+        real = engine.mhsa
+
+        def recorded(*args):
+            out = real(*args)
+            built.append(out.mean_attention is not None)
+            return out
+
+        monkeypatch.setattr(engine, "mhsa", recorded)
+        x, traces = run_blocks(embed(image, model), model, cfg, 0, cfg.depth, trace_scores)
+        assert built == [trace_scores or cfg.merges(i) for i in range(cfg.depth)]
+        want_logits, want_traces = looped_forward(image, model, cfg, Lanes(count), trace_scores)
+        assert np.array_equal(classify(x, model), want_logits)
+        assert len(traces) == len(want_traces) == cfg.depth
+        for tr, ref in zip(traces, want_traces):
+            assert_fields_equal(tr, ref, (tr.block_index,))
+        assert any(tr.n_a > 0 for tr in traces) == stage
 
 
 class TestLaneOracle:

@@ -6,6 +6,9 @@ import ast
 import importlib
 from pathlib import Path
 
+from satavit import ModelConfig, harness, random_image, random_init
+from satavit.engine import forward
+
 RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 SRC = RUN_PY.parents[1] / "src" / "satavit"
 
@@ -88,3 +91,34 @@ def test_no_import_inside_a_function():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     }
     assert sorted(nested) == []
+
+
+# traced names no forward or report calls: their per-layer metrics read 0
+NEVER_CALLED = ["engine.ffn", "engine.spatial_scores", "harness.forward",
+                "sata.bipartite_match", "sata.split_tokens"]
+
+
+def test_no_other_traced_name_goes_uncalled(monkeypatch):
+    """A traced name the library stops calling zeroes its per-layer metric
+    without an error, so the names left uncalled are pinned here."""
+    cfg = ModelConfig()  # the benchmark's 8x32 shape
+    model = random_init(cfg, seed=3)
+    images = [random_image(cfg, seed) for seed in (1, 2)]
+    calls = {}
+    for module, attrs in traced_names().items():
+        mod = importlib.import_module(f"satavit.{module}")
+        for attr in attrs:
+            key = f"{module}.{attr}"
+            calls[key] = 0
+
+            def counted(*args, _real=getattr(mod, attr), _key=key, **kwargs):
+                calls[_key] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(mod, attr, counted)
+    forward(images[0], model, cfg)
+    forward(images[0], model, cfg.with_overrides(sata_enabled=False))
+    harness.averaged_stability_report(model, images[0], 0)
+    harness.sweep(model, images, "alpha", [0.5, 1.0])
+    harness.stats_report(model, images)
+    assert sorted(k for k, n in calls.items() if n == 0) == NEVER_CALLED

@@ -146,21 +146,20 @@ def loop_mhsa(x, w: AttnWeights, heads):
 
 
 def captured_mhsa(monkeypatch, x, w: AttnWeights, heads, lanes=SERIAL):
-    """``mhsa``'s output and the per-head maps it built: the ordered results
-    of its ``attend`` groups, kept by a wrapper around ``vit.run``."""
-    groups = []
-    real = vit.run
+    """``mhsa``'s output and the per-head maps it built: each head group's
+    maps, kept by a wrapper around ``vit._attend`` and put in head order
+    by the group's first column (lane groups finish in any order)."""
+    groups = {}
+    real = vit._attend
 
-    def capture(fn, items, count):
-        results = real(fn, items, count)
-        if fn.__name__ == "attend":
-            groups.extend(results)
-        return results
+    def capture(normed, weights, cols, *rest):
+        groups[cols.start] = real(normed, weights, cols, *rest)
+        return groups[cols.start]
 
     with monkeypatch.context() as m:
-        m.setattr(vit, "run", capture)
+        m.setattr(vit, "_attend", capture)
         out = mhsa(x, w, heads, lanes)
-    return out, np.concatenate(groups)
+    return out, np.concatenate([groups[start] for start in sorted(groups)], axis=-3)
 
 
 def make_ffn_weights(rng, d, hidden):
@@ -199,6 +198,12 @@ class TestModelConfig:
         assert ModelConfig(depth=8, gamma=0.7).sata_start_block == 6
         assert ModelConfig(depth=8, gamma=1.0).sata_start_block == 8
         assert ModelConfig(depth=8, gamma=0.0).sata_start_block == 0
+
+    def test_merges_from_the_start_block_when_enabled(self):
+        cfg = ModelConfig(depth=8, gamma=0.7)
+        assert [cfg.merges(i) for i in range(8)] == [False] * 6 + [True] * 2
+        off = cfg.with_overrides(sata_enabled=False)
+        assert not any(off.merges(i) for i in range(8))
 
     def test_dict_roundtrip(self):
         cfg = ModelConfig(depth=2, dim=8, heads=2, image=8, patch=4)
@@ -373,10 +378,20 @@ class TestMhsa:
     def test_weight_shape_mismatch(self):
         rng = np.random.default_rng(5)
         w = self._rand_weights(rng, 4)
-        bad = AttnWeights(w.ln_gain, w.ln_bias, np.zeros((3, 4)), w.bq, w.wk, w.bk,
-                          w.wv, w.bv, w.wo, w.bo)
         with pytest.raises(ValueError, match="wq"):
-            mhsa(np.zeros((2, 4)), bad, heads=2)
+            AttnWeights(w.ln_gain, w.ln_bias, np.zeros((3, 4)), w.bq, w.wk, w.bk,
+                        w.wv, w.bv, w.wo, w.bo)
+
+    @pytest.mark.parametrize("name,shape", [("wo", (4, 3)), ("bk", (3,)), ("ln_bias", (5,))])
+    def test_every_weight_shape_checked_at_construction(self, name, shape):
+        w = self._rand_weights(np.random.default_rng(5), 4)
+        with pytest.raises(ValueError, match=f"weight {name} has shape"):
+            dataclasses.replace(w, **{name: np.zeros(shape)})
+
+    def test_stream_width_checked_per_call(self):
+        w = self._rand_weights(np.random.default_rng(5), 4)
+        with pytest.raises(ValueError, match="stream width 6"):
+            mhsa(np.zeros((2, 6)), w, heads=2)
 
 
 class TestFfn:
@@ -401,10 +416,22 @@ class TestFfn:
         assert out.shape == (0, 3)
 
     def test_shape_mismatch(self):
-        w = FfnWeights(np.ones(3), np.zeros(3), np.zeros((4, 6)), np.zeros(6),
-                       np.zeros((6, 3)), np.zeros(3))
         with pytest.raises(ValueError, match="do not chain"):
-            ffn(np.zeros((2, 3)), w)
+            FfnWeights(np.ones(3), np.zeros(3), np.zeros((4, 6)), np.zeros(6),
+                       np.zeros((6, 3)), np.zeros(3))
+
+    @pytest.mark.parametrize("name,shape,message", [
+        ("w2", (6, 4), "do not chain"), ("b1", (5,), "weight b1 has shape"),
+        ("ln_bias", (2,), "weight ln_bias has shape"), ("b2", (3, 1), "weight b2 has shape")])
+    def test_every_weight_shape_checked_at_construction(self, name, shape, message):
+        w = make_ffn_weights(np.random.default_rng(5), 3, 6)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(w, **{name: np.zeros(shape)})
+
+    def test_stream_width_checked_per_call(self):
+        w = make_ffn_weights(np.random.default_rng(5), 3, 6)
+        with pytest.raises(ValueError, match="stream width 4"):
+            ffn(np.zeros((2, 4)), w)
 
     def test_matches_reference(self):
         rng = np.random.default_rng(6)
