@@ -164,7 +164,9 @@ def forward_batch(
     images = list(images)
     if not images:
         raise ValueError("forward_batch needs at least one image")
-    x = np.stack([embed(image, model) for image in images])
+    # one image's stack is a view of its fresh stream, which no block writes into
+    x = embed(images[0], model)[None] if len(images) == 1 else np.stack(
+        [embed(image, model) for image in images])
     x, traces = run_blocks(x, model, cfg, 0, cfg.depth, trace_scores)
     return list(zip(classify(x, model), traces))
 

@@ -148,13 +148,15 @@ def loop_mhsa(x, w: AttnWeights, heads):
 def captured_mhsa(monkeypatch, x, w: AttnWeights, heads, lanes=SERIAL):
     """``mhsa``'s output and the per-head maps it built: each head group's
     maps, kept by a wrapper around ``vit._attend`` and put in head order
-    by the group's first column (lane groups finish in any order)."""
+    by the group's first column (lane groups finish in any order; one
+    group of every head has no columns slice)."""
     groups = {}
     real = vit._attend
 
     def capture(normed, weights, cols, *rest):
-        groups[cols.start] = real(normed, weights, cols, *rest)
-        return groups[cols.start]
+        start = 0 if cols is None else cols.start
+        groups[start] = real(normed, weights, cols, *rest)
+        return groups[start]
 
     with monkeypatch.context() as m:
         m.setattr(vit, "_attend", capture)
