@@ -22,7 +22,7 @@ else a trace holds.  Without it (the default) only stage blocks score
 and band the tokens, because they need the split, and no trace keeps
 a score; a pass-through block then reads no attention map, so its
 ``mhsa`` builds none.  With it every block scores and bands, and every
-trace keeps the stage's :class:`~satavit.moran.SpatialScores`, band
+trace keeps its image's :class:`~satavit.moran.SpatialScores`, band
 bounds and class-token attention row.  The logits are the same either way.
 
 Weights come from outside the program, so a forward checks that each

@@ -13,7 +13,9 @@ runs over the FIRST index of W:
 
 For a symmetric W this coincides with the textbook row convention
 z[i] * sum_j W[i, j] z[j]; for asymmetric attention-derived weights the
-two differ, and the stage uses the column form above.
+two differ, and the stage uses the column form above.  Either way the
+statistics sum to z^t W z (LISA additivity).  A stack of images runs the
+same code, and its one :class:`SpatialScores` carries the image axis.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ __all__ = [
 class SpatialScores:
     """Normalized local Moran scores plus the summary stats the band needs."""
 
-    s: np.ndarray
-    mean_s: float
-    abs_median_s: float
+    s: np.ndarray  # ([B,] n)
+    mean_s: float | np.ndarray  # ([B,]): a float64 scalar for one image
+    abs_median_s: float | np.ndarray  # ([B,])
 
     @classmethod
     def from_values(cls, s) -> "SpatialScores":
@@ -54,22 +56,19 @@ class SpatialScores:
         s = np.asarray(s, dtype=np.float64).ravel()
         if s.size == 0:
             raise ValueError("SpatialScores needs at least one score")
-        return _per_row(s[None])[0]
+        return _summarize(s)
 
 
-def _per_row(s: np.ndarray) -> list[SpatialScores]:
-    """One :class:`SpatialScores` per row of ``s``, (B, n), each holding its row."""
+def _summarize(s: np.ndarray) -> SpatialScores:
+    """The record of scores ``s``, ([B,] n), each row summarized along the last axis."""
     n = s.shape[-1]
-    ordered = s.copy()
+    ordered = s.copy()  # np.sort's copy and sort, without its wrapper
     ordered.sort(axis=-1)
-    middles = ordered[:, (n - 1) // 2 : n // 2 + 1].tolist()  # one or two per row
+    median = ordered[..., n // 2]
+    if not n % 2:  # the mean of the two middles
+        median = (ordered[..., n // 2 - 1] + median) / 2.0
     # add.reduce / n is ndarray.mean's sum and divide, bitwise, without its wrapper
-    means = (np.add.reduce(s, axis=-1) / n).tolist()
-    medians = [m[0] if n % 2 else (m[0] + m[1]) / 2.0 for m in middles]
-    return [
-        SpatialScores(s=row, mean_s=mean, abs_median_s=abs(median))
-        for row, mean, median in zip(s, means, medians)
-    ]
+    return SpatialScores(s, np.add.reduce(s, axis=-1) / n, np.abs(median))
 
 
 def global_attribute(x) -> np.ndarray:
@@ -128,20 +127,18 @@ def local_moran(z, w) -> np.ndarray:
     return z * np.matmul(z[..., None, :], w)[..., 0, :]
 
 
-def spatial_scores(x, w) -> SpatialScores | list[SpatialScores]:
+def spatial_scores(x, w) -> SpatialScores:
     """Full score pipeline over a token tensor and a weight matrix.
 
     One token tensor, (n, d), and its weights, (n, n), give its
     :class:`SpatialScores`.  A stack of them, (B, n, d) and (B, n, n),
-    gives a list of one ``SpatialScores`` per image, each bitwise what
-    that image gives alone: every step reduces along the last axis, and
-    the 2-D call is the stack of one.
+    gives one record whose fields carry the image axis: scores (B, n)
+    and summaries (B,), each row bitwise what that image gives alone,
+    since every step reduces along the last axis.
     """
     x = as_matrices(x)
     w = as_matrices(w)
     if w.ndim != x.ndim:
         raise ValueError(f"weight shape {w.shape} does not match token shape {x.shape}")
-    stacked = x.ndim == 3
-    z = z_normalize(global_attribute(x if stacked else x[None]))
-    scores = _per_row(z_normalize(local_moran(z, w if stacked else w[None])))
-    return scores if stacked else scores[0]
+    z = z_normalize(global_attribute(x))
+    return _summarize(z_normalize(local_moran(z, w)))

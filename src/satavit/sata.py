@@ -20,6 +20,7 @@ reduced-FFN call per BLAS kernel side and one restore.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple, Optional
@@ -81,7 +82,7 @@ class BlockTrace:
 
     The split sizes, FFN load and residual indices are always there
     (``n_residual`` is read from ``residual_indices``).
-    The score fields (``scores``, the stage's own :class:`SpatialScores`,
+    The score fields (``scores``, the image's own :class:`SpatialScores`,
     the band ``bounds`` and ``cls_attention``) are filled only with
     ``trace_scores=True`` and are ``None`` otherwise, in every block;
     ``split_tokens(trace.scores, alpha)`` re-bands the block at any
@@ -108,37 +109,31 @@ class BlockTrace:
         return self.residual_indices.size
 
 
-def split_tokens(
-    scores: SpatialScores | list[SpatialScores], alpha: float
-) -> SplitResult | list[SplitResult]:
-    """Split token indices by the closed alpha-scaled band around the scores.
+def split_tokens(scores: SpatialScores, alpha: float) -> SplitResult:
+    """Split one image's token indices by the closed alpha-scaled band around its scores.
 
     The out-of-band set is the complement of the band (score strictly
     below the lower bound or strictly above the upper bound); bound
-    hits count as in-band.  One image's :class:`SpatialScores` gives its
-    :class:`SplitResult`; a list of them, one per image of a stack, gives
-    one ``SplitResult`` per image, the bounds and membership of all of
-    them from one vectorised compare.  The one image is the stack of one.
+    hits count as in-band.
     """
-    stacked = not isinstance(scores, SpatialScores)
-    inside, lower, upper = _band(scores if stacked else [scores], alpha)
-    splits = [SplitResult(inside=row, lower=lo, upper=up)
-              for row, lo, up in zip(inside, lower, upper)]
-    return splits if stacked else splits[0]
+    if np.ndim(scores.s) != 1:
+        raise ValueError(f"split_tokens takes one image's scores, got shape {np.shape(scores.s)}")
+    inside, lower, upper = _band(scores, alpha)
+    return SplitResult(inside=inside, lower=float(lower), upper=float(upper))
 
 
-def _band(scores: list[SpatialScores], alpha: float) -> tuple[np.ndarray, list, list]:
-    """The in-band mask, (B, n), and the lower and upper bounds of each image's band."""
+def _band(scores: SpatialScores, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The in-band mask, ([B,] n), and each image's lower and upper bound, ([B,])."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"config field 'alpha' must be finite, got {alpha!r}")
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    mean = np.array([sc.mean_s for sc in scores])
-    half = np.array([sc.abs_median_s for sc in scores])
-    lower = alpha * (mean - half)
-    upper = alpha * (mean + half)
-    s = np.array([sc.s for sc in scores])
-    inside = s >= lower[:, None]
-    inside &= s <= upper[:, None]
-    return inside, lower.tolist(), upper.tolist()
+    # ufuncs, not operators: a trace's record holds Python floats
+    lower = alpha * np.subtract(scores.mean_s, scores.abs_median_s)
+    upper = alpha * np.add(scores.mean_s, scores.abs_median_s)
+    inside = scores.s >= lower[..., None]
+    inside &= scores.s <= upper[..., None]
+    return inside, lower, upper
 
 
 def bipartite_match(set_a, features) -> MergePlan | list[MergePlan]:
@@ -158,7 +153,8 @@ def bipartite_match(set_a, features) -> MergePlan | list[MergePlan]:
     features, (B, n, d), gives one ``MergePlan`` per image, each bitwise
     what the image gives alone, from one matching of the whole stack;
     the one image is the stack of one.  Every index must lie in
-    ``[0, n)``: a stack's images share no rows.
+    ``[0, n)`` (a stack's images share no rows) and appear at most once
+    in its image's set.
     """
     features = as_matrices(features)
     stacked = features.ndim == 3
@@ -173,7 +169,12 @@ def bipartite_match(set_a, features) -> MergePlan | list[MergePlan]:
     bad = (token < 0) | (token >= n)
     if np.logical_or.reduce(bad):
         raise ValueError(f"token index {token[bad][0]} outside [0, {n}) in image {img[bad][0]}")
-    plan = _match(feats.reshape(-1, d), token + n * img, img, n_a)
+    rows = token + n * img
+    ordered = np.sort(rows)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        raise ValueError(f"token index {repeated[0] % n} repeats in image {repeated[0] // n}")
+    plan = _match(feats.reshape(-1, d), rows, img, n_a)
 
     def tokens(rows):  # flat rows -> each image's token indices
         owner = rows // n
@@ -334,23 +335,24 @@ def sata_stage(
     empty out-of-band set (``n_a=0``, ``n_b=N-1``, no groups, no
     residuals, ``ffn_tokens=N``).
 
-    A merging block, and with ``trace_scores`` every block, scores and
-    bands the whole stack at once.  A merging block then matches the
-    out-of-band tokens of every image in one call (only the similarity
-    GEMMs run image by image, each at its own shape), runs the reduced
-    FFN for the whole stack and adds every delta back by flat row
-    indices.  Each image's reduced token set is padded with zero rows
-    to the longest image's (a stack of one has no padding rows).
-    Padding keeps an image's bits only while its own and the padded row
-    count use the same BLAS kernel
+    A merging block, and with ``trace_scores`` every block, scores the
+    whole stack into one :class:`SpatialScores` and bands it at once.
+    A merging block then matches the out-of-band tokens of every image
+    in one call (only the similarity GEMMs run image by image, each at
+    its own shape), runs the reduced FFN for the whole stack and adds
+    every delta back by flat row indices.  Each image's reduced token
+    set is padded with zero rows to the longest image's (a stack of one
+    has no padding rows).  Padding keeps an image's bits only while its
+    own and the padded row count use the same BLAS kernel
     (:func:`~satavit.parallel.blocked_lines`), so the images run in one
     padded stack per kernel side: one ``ffn`` call per side.  The FFN
     runs on ``lanes``.  A trace counts each image's own tokens, never
     padding rows.
 
-    With ``trace_scores`` every trace carries the scores, bounds and
-    class-token attention row; a pass-through block reports its real
-    scores and bounds next to the empty out-of-band set.  Without it
+    With ``trace_scores`` every trace carries its image's own scores
+    (a ``SpatialScores`` built only then), bounds and class-token
+    attention row; a pass-through block reports its real scores and
+    bounds next to the empty out-of-band set.  Without it
     those fields are ``None``, and a pass-through block skips scoring
     and banding altogether.  The output is the same either way.
 
@@ -392,7 +394,9 @@ def sata_stage(
         # alive, and the averaged ViT-Ti stability report then peaked at
         # 190, not 117 MB
         cls_rows = maps[:, 0, 1:].copy()
-        scored = zip(scores, zip(lower, upper), cls_rows)
+        per_image = map(SpatialScores, scores.s, scores.mean_s.tolist(),
+                        scores.abs_median_s.tolist())
+        scored = zip(per_image, zip(lower.tolist(), upper.tolist()), cls_rows)
     else:
         scored = [(None, None, None)] * images
     # ffn_flops is linear in the token count: each trace's count times one token's

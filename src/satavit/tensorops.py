@@ -27,7 +27,6 @@ import numpy as np
 from scipy.special import erf
 
 __all__ = [
-    "as_matrix",
     "as_matrices",
     "row_softmax",
     "layer_norm",
@@ -36,14 +35,6 @@ __all__ = [
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-
-def as_matrix(a) -> np.ndarray:
-    """Coerce input to a 2-D float64 array, rejecting other ranks."""
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got array of shape {m.shape}")
-    return m
 
 
 def as_matrices(a) -> np.ndarray:

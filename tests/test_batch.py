@@ -315,6 +315,16 @@ class TestStackedMatch:
         with pytest.raises(ValueError, match=r"outside \[0, 6\)"):
             bipartite_match([0, 1, index], feats[0])
 
+    def test_repeated_token_rejected(self):
+        # unchecked, [0, 0, 1, 1] makes token 0 its own target and lists it twice
+        feats = np.random.default_rng(0).normal(size=(2, 6, 4))
+        with pytest.raises(ValueError, match="token index 0 repeats in image 0"):
+            bipartite_match([0, 0, 1, 1], feats[0])
+        with pytest.raises(ValueError, match="token index 2 repeats in image 1"):
+            bipartite_match([[0, 1, 2], [5, 2, 3, 2]], feats)
+        # the same token in two images is no repeat
+        assert len(bipartite_match([[0, 1, 2], [0, 1, 2]], feats)) == 2
+
 
 class TestStageStraddlingTheKernelSides:
     def test_padded_ffn_keeps_each_images_bits(self):

@@ -92,6 +92,38 @@ class TestLocalMoran:
             want = [z[i] * sum(z[j] * w[j, i] for j in range(n)) for i in range(n)]
             assert np.allclose(local_moran(z, w), want, atol=1e-12)
 
+    # LISA additivity (Anselin 1995): the local statistics sum to the
+    # quadratic form z^t W z, and with a row-stochastic W and standardized
+    # z that sum is n times the global Moran's I
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_local_statistics_sum_to_the_quadratic_form(self, n, images, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(images, n)) * rng.uniform(0.1, 10.0)
+        w = rng.normal(size=(images, n, n))
+        want = np.einsum("bi,bij,bj->b", z, w, z)
+        scale = np.einsum("bi,bij,bj->b", abs(z), abs(w), abs(z))  # rounding grows with it
+        assert np.all(abs(local_moran(z, w).sum(axis=1) - want) <= 1e-12 * scale)
+        for b in range(images):
+            assert abs(local_moran(z[b], w[b]).sum() - z[b] @ w[b] @ z[b]) <= 1e-12 * scale[b]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 40), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_sum_is_n_times_global_morans_i(self, n, images, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(images, n)) * 3.0 + 1.0
+        w = rng.random(size=(images, n, n))
+        w /= w.sum(axis=2, keepdims=True)  # row-stochastic
+        dev = a - a.mean(axis=1, keepdims=True)
+        # textbook global I: (n / S0) * sum_ij w_ij dev_i dev_j / sum_i dev_i^2
+        moran_i = n / w.sum(axis=(1, 2)) * np.einsum("bi,bij,bj->b", dev, w, dev) \
+            / (dev * dev).sum(axis=1)
+        stacked = local_moran(z_normalize(a), w).sum(axis=1)
+        assert np.allclose(stacked, n * moran_i, rtol=1e-9, atol=1e-9 * n)
+        for b in range(images):
+            one = local_moran(z_normalize(a[b]), w[b]).sum()
+            assert np.isclose(one, n * moran_i[b], rtol=1e-9, atol=1e-9 * n)
+
 
 class TestSpatialScores:
     def test_constant_tokens_degenerate(self):
@@ -182,6 +214,11 @@ def textbook_scores(x, w):
     return s, float(np.mean(s)), abs(float(np.median(s)))
 
 
+def image_scores(scores, b):
+    """Image ``b``'s record out of a stack's :class:`SpatialScores`."""
+    return SpatialScores(scores.s[b], scores.mean_s[b], scores.abs_median_s[b])
+
+
 def score_bits(scores):
     return scores.s.tobytes(), np.float64(scores.mean_s).tobytes(), \
         np.float64(scores.abs_median_s).tobytes()
@@ -201,17 +238,22 @@ def special_stack(rng, n, d, images=5):
 
 
 class TestStackedScores:
-    @pytest.mark.parametrize("n", [1, 2, 15, 16, 196])
-    def test_each_image_is_its_own_call_and_the_textbook(self, n):
+    # the stage's case (d 8) and the benchmark widths, where a stack's
+    # row and one image's 1-D reductions must still agree
+    @pytest.mark.parametrize("n,d", [pytest.param(n, 8, id=str(n)) for n in (1, 2, 15, 16, 196)]
+                             + [(n, d) for n in (16, 196) for d in (32, 192, 384)])
+    def test_each_image_is_its_own_call_and_the_textbook(self, n, d):
         rng = np.random.default_rng(n)
-        x, w = special_stack(rng, n, 8)
+        x, w = special_stack(rng, n, d)
         got = spatial_scores(x, w)
-        assert isinstance(got, list) and len(got) == len(x)
-        for b, scores in enumerate(got):
+        assert got.s.shape == (len(x), n)
+        assert got.mean_s.shape == got.abs_median_s.shape == (len(x),)
+        for b in range(len(x)):
             alone = spatial_scores(x[b], w[b])
+            assert alone.s.shape == (n,) and np.ndim(alone.mean_s) == 0
             s, mean_s, abs_median_s = textbook_scores(x[b], w[b])
-            assert score_bits(scores) == score_bits(alone), b
-            assert score_bits(scores) == score_bits(SpatialScores(s, mean_s, abs_median_s)), b
+            assert score_bits(image_scores(got, b)) == score_bits(alone), b
+            assert score_bits(alone) == score_bits(SpatialScores(s, mean_s, abs_median_s)), b
 
     def test_degenerate_images_score_positive_zeros(self):
         x, w = special_stack(np.random.default_rng(3), 16, 8)
@@ -219,14 +261,15 @@ class TestStackedScores:
         assert np.all(a[0] == a[0, 0])  # constant attribute
         dev = a[1] - a[1].mean()
         assert np.any(dev != 0.0) and np.sum(dev * dev) == 0.0  # sigma underflows
-        for scores in spatial_scores(x, w)[:2]:
-            assert scores.s.tobytes() == np.zeros(16).tobytes()  # +0.0, not -0.0
+        for s in spatial_scores(x, w).s[:2]:
+            assert s.tobytes() == np.zeros(16).tobytes()  # +0.0, not -0.0
 
     def test_stack_of_one_is_the_matrix(self):
         x, w = special_stack(np.random.default_rng(4), 9, 5)
         for b in range(len(x)):
-            (one,) = spatial_scores(x[b : b + 1], w[b : b + 1])
-            assert score_bits(one) == score_bits(spatial_scores(x[b], w[b]))
+            one = spatial_scores(x[b : b + 1], w[b : b + 1])
+            assert one.s.shape == (1, 9)
+            assert score_bits(image_scores(one, 0)) == score_bits(spatial_scores(x[b], w[b]))
 
     def test_z_normalize_rows(self):
         rows = np.array([[-0.3] * 5, [0.0, 1e-170, 0.0, 1e-170, 0.0], [2.0, 4.0, 6.0, 8.0, 1.0]])

@@ -1,14 +1,16 @@
 import math
 import operator
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satavit import sata
 from satavit.harness import _naive_spatial_scores as naive_scores
 from satavit.moran import SpatialScores, spatial_scores
-from satavit.sata import bipartite_match, ffn_flops, sata_stage, split_tokens
+from satavit.sata import SplitResult, bipartite_match, ffn_flops, sata_stage, split_tokens
 from satavit.tensorops import row_softmax
 from satavit.vit import AttentionOutput, ModelConfig, ffn
 
@@ -279,6 +281,25 @@ class TestSplitTokens:
         with pytest.raises(ValueError):
             split_tokens(SpatialScores.from_values([1.0]), alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_alpha_must_be_finite(self, alpha):
+        # unchecked, inf gives NaN bounds and an empty band, with a RuntimeWarning
+        with pytest.raises(ValueError) as config:
+            ModelConfig(alpha=alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as one:
+                split_tokens(SpatialScores.from_values(np.zeros(6)), alpha)
+            with pytest.raises(ValueError) as stack:
+                sata._band(spatial_scores(np.ones((2, 3, 4)), np.ones((2, 3, 3))), alpha)
+        assert str(one.value) == str(stack.value) == str(config.value)
+        assert "must be finite" in str(one.value)
+
+    def test_a_stacks_scores_rejected(self):
+        scores = spatial_scores(np.ones((1, 3, 4)), np.ones((1, 3, 3)))
+        with pytest.raises(ValueError, match=r"one image's scores, got shape \(1, 3\)"):
+            split_tokens(scores, 1.0)
+
     def test_closed_band_includes_bounds(self):
         s = SpatialScores.from_values([-1.0, 0.0, 1.0])  # mean 0, |median| 0
         res = split_tokens(s, alpha=2.0)
@@ -301,9 +322,21 @@ def split_bits(split):
         np.float64(split.upper).tobytes(), split.set_a.tobytes(), split.set_b.tobytes()
 
 
+def image_split(inside, lower, upper, b):
+    """Image ``b``'s :class:`SplitResult` out of ``sata._band`` of a stack."""
+    return SplitResult(inside=inside[b], lower=float(lower[b]), upper=float(upper[b]))
+
+
+def stack_scores(records):
+    """One stack's :class:`SpatialScores` out of one record per image."""
+    return SpatialScores(np.stack([sc.s for sc in records]),
+                         np.array([sc.mean_s for sc in records]),
+                         np.array([sc.abs_median_s for sc in records]))
+
+
 class TestStackedSplit:
-    """``split_tokens`` on a list of scores against each image's call and a
-    textbook band, bit for bit."""
+    """``sata._band`` on a stack's scores against each image's ``split_tokens``
+    and a textbook band, bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 2, 15, 16, 196])
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5])
@@ -313,9 +346,11 @@ class TestStackedSplit:
         x = rng.normal(size=(6, n, 8))
         x[0] = -0.3  # constant attribute: zero scores, every token in band
         scores = spatial_scores(x, maps[:, 1:, 1:])
-        got = split_tokens(scores, alpha)
-        assert isinstance(got, list) and len(got) == len(scores)
-        for sc, split in zip(scores, got):
+        band = sata._band(scores, alpha)
+        assert band[0].shape == scores.s.shape and band[1].shape == band[2].shape == (6,)
+        for b in range(len(x)):
+            sc = SpatialScores(scores.s[b], scores.mean_s[b], scores.abs_median_s[b])
+            split = image_split(*band, b)
             assert split_bits(split) == split_bits(split_tokens(sc, alpha))
             lower = alpha * (sc.mean_s - sc.abs_median_s)
             upper = alpha * (sc.mean_s + sc.abs_median_s)
@@ -323,22 +358,23 @@ class TestStackedSplit:
             assert (split.lower, split.upper) == (lower, upper)
             assert split.set_b.tolist() == np.flatnonzero(inside).tolist()
             assert split.set_a.tolist() == np.flatnonzero(~inside).tolist()
-        assert got[0].set_a.size == 0
+        assert image_split(*band, 0).set_a.size == 0
 
     def test_scores_on_the_bounds_are_in_band(self):
         # mean 3, |median| 3: band [0, 6]; mean 0, |median| 0: band [0, 0]
-        scores = [SpatialScores.from_values(v) for v in ([0.0, 2.0, 4.0, 6.0],
-                                                         [-3.0, 0.0, 0.0, 3.0])]
-        got = split_tokens(scores, 1.0)
+        records = [SpatialScores.from_values(v) for v in ([0.0, 2.0, 4.0, 6.0],
+                                                          [-3.0, 0.0, 0.0, 3.0])]
+        band = sata._band(stack_scores(records), 1.0)
+        got = [image_split(*band, b) for b in range(2)]
         assert [(sp.lower, sp.upper) for sp in got] == [(0.0, 6.0), (0.0, 0.0)]
         assert [sp.set_b.tolist() for sp in got] == [[0, 1, 2, 3], [1, 2]]
         assert [sp.set_a.tolist() for sp in got] == [[], [0, 3]]
-        for sc, split in zip(scores, got):
+        for sc, split in zip(records, got):
             assert split_bits(split) == split_bits(split_tokens(sc, 1.0))
 
     def test_alpha_must_be_positive_for_a_stack(self):
         with pytest.raises(ValueError, match="alpha"):
-            split_tokens([SpatialScores.from_values([1.0])], alpha=-1.0)
+            sata._band(stack_scores([SpatialScores.from_values([1.0])]), alpha=-1.0)
 
 
 class TestBipartiteMatch:

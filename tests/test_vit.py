@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from satavit import ModelConfig, forward, random_image, random_init, sata, vit
-from satavit.engine import classify, embed, run_blocks
+from satavit import ModelConfig, forward, moran, random_image, random_init, sata, vit
+from satavit.engine import classify, embed, forward_batch, run_blocks
 from satavit.modelio import Model, attn_view, embed_view, ffn_view, head_view, tensor_schema
 from satavit.moran import spatial_scores
 from satavit.parallel import SERIAL
@@ -672,6 +672,28 @@ class TestTraceScores:
         assert cfg.depth - cfg.sata_start_block == 2
         assert count(cfg) == 2
         assert count(cfg, trace_scores=True) == cfg.depth
+
+    def test_per_image_scores_are_built_only_for_traces(self, monkeypatch):
+        # the stage scores a block into one record for the stack; a record
+        # per image, (n,) scores, exists only to go into a trace
+        model, img = self._model("8x32")
+        cfg = model.config.with_overrides(gamma=0.7)
+        built = []
+        for module in (moran, sata):
+            real = module.SpatialScores
+            monkeypatch.setattr(module, "SpatialScores",
+                                lambda s, *a, real=real: built.append(s.shape) or real(s, *a))
+        n = cfg.num_tokens - 1
+        images = np.stack([img, img[::-1]])
+        forward_batch(images, model, cfg)
+        assert built == [(2, n)] * (cfg.depth - cfg.sata_start_block)
+        built.clear()
+        _, traces = forward_batch(images, model, cfg, trace_scores=True)
+        assert built == [(2, n), (n,), (n,)] * cfg.depth
+        # a trace's record re-bands its block: the stage's own bounds at its alpha
+        for trace in traces[1]:
+            split = split_tokens(trace.scores, cfg.alpha)
+            assert (split.lower, split.upper) == trace.bounds
 
     @pytest.mark.parametrize("run", ["stage-off", "gamma-0.7"])
     def test_cls_attention_owns_its_memory(self, run):
